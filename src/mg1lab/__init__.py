@@ -28,6 +28,7 @@ from .analytic import (
     expected_clearing_time,
     pp2_waits_approx,
     rp_waits,
+    rp2_kernel,
     rp2_waits,
 )
 from .mappings import (

@@ -125,6 +125,27 @@ def rp_waits(model: SystemModel, p: Sequence[float]) -> WaitVector:
     return WaitVector(w)
 
 
+def rp2_kernel(r1, r2, w0, p1):
+    """Unvalidated 2-class relative-priority mean waits (w1, w2) from the
+    class loads r1, r2, the residual work w0 and the class-1 weight p1.
+
+    Takes floats or arrays that broadcast together; floats stay in plain
+    Python arithmetic.  Where the total load r1 + r2 is within 1e-9 of 1
+    or above, both waits are +inf.
+    """
+    rho = r1 + r2
+    p2 = 1.0 - p1
+    den = (1.0 - r1 - p2 * r2) * (1.0 - r2 - p1 * r1) - p1 * p2 * r1 * r2
+    if isinstance(rho, np.ndarray) or isinstance(p1, np.ndarray):
+        stable = rho < 1.0 - 1e-9
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (np.where(stable, (1.0 - rho * p1) * w0 / den, math.inf),
+                    np.where(stable, (1.0 - rho * p2) * w0 / den, math.inf))
+    if rho >= 1.0 - 1e-9:
+        return math.inf, math.inf
+    return (1.0 - rho * p1) * w0 / den, (1.0 - rho * p2) * w0 / den
+
+
 def rp2_waits(model: SystemModel, p1: float) -> WaitVector:
     """2-class relative-priority closed form; p1 in [0, 1] with p2 = 1 - p1.
 
@@ -134,13 +155,8 @@ def rp2_waits(model: SystemModel, p1: float) -> WaitVector:
     model.require_two_classes()
     if not (0.0 <= p1 <= 1.0):
         raise InvalidParameterError(f"p1 must lie in [0, 1], got {p1}")
-    rhos, rho, w0 = derive_loads(model)
-    r1, r2 = rhos
-    p2 = 1.0 - p1
-    den = (1.0 - r1 - p2 * r2) * (1.0 - r2 - p1 * r1) - p1 * p2 * r1 * r2
-    w1 = (1.0 - rho * p1) * w0 / den
-    w2 = (1.0 - rho * p2) * w0 / den
-    return WaitVector([w1, w2])
+    r1, r2 = model.rho_per_class
+    return WaitVector(rp2_kernel(r1, r2, model.w0, p1))
 
 
 def _pp_q(omega1: float, r1: float, r2: float) -> tuple[float, float]:

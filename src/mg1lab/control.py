@@ -26,8 +26,8 @@ from .core import (
     strict_priority_waits_2class,
     segment_point,
 )
-from .analytic import rp2_waits
-from .errors import FixedPointDivergenceError, InfeasibleError, InvalidParameterError
+from .analytic import rp2_kernel, rp2_waits
+from .errors import InfeasibleError, InvalidParameterError
 
 _INF = math.inf
 
@@ -80,33 +80,25 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -
             x2 = a + invphi * (b - a)
             f2 = f(x2)
     xm = 0.5 * (a + b)
-    candidates = [(xm, f(xm)), (lo, f(lo)), (hi, f(hi))]
+    fm = f(xm)
+    if not math.isfinite(fm):
+        # a maximum on the edge of a rejected (-inf) region can leave the
+        # final midpoint just outside it; keep the better interior probe
+        xm, fm = (x1, f1) if f1 >= f2 else (x2, f2)
+    candidates = [(xm, fm), (lo, f(lo)), (hi, f(hi))]
     # parabolic polish: golden-section alone resolves a smooth interior
     # maximum only to about sqrt(machine epsilon); one wide-stencil parabola
     # fit recovers the vertex of a locally quadratic objective exactly
     h = 1e-5 * (hi - lo)
     if h > 0.0 and lo <= xm - h and xm + h <= hi:
-        f0, f1c, f2 = f(xm - h), f(xm), f(xm + h)
-        curve = f0 - 2.0 * f1c + f2
-        if curve < 0.0 and all(map(math.isfinite, (f0, f1c, f2))):
-            xv = xm + 0.5 * h * (f0 - f2) / curve
-            xv = min(max(xv, lo), hi)
-            candidates.append((xv, f(xv)))
+        f0, f2 = f(xm - h), f(xm + h)
+        if all(map(math.isfinite, (f0, fm, f2))):
+            curve = f0 - 2.0 * fm + f2
+            if curve < 0.0:
+                xv = xm + 0.5 * h * (f0 - f2) / curve
+                xv = min(max(xv, lo), hi)
+                candidates.append((xv, f(xv)))
     return max(candidates, key=lambda t: t[1])
-
-
-def _rp2_inline(l1: float, l2: float, s: float, s2: float, p1: float) -> tuple[float, float]:
-    """Two-class relative-priority mean waits for Poisson rates l1, l2 with
-    a common service distribution (mean s, second moment s2); returns
-    (inf, inf) when the system is unstable."""
-    r1, r2 = l1 * s, l2 * s
-    rho = r1 + r2
-    if rho >= 1.0 - 1e-9:
-        return _INF, _INF
-    w0 = 0.5 * (l1 + l2) * s2
-    p2 = 1.0 - p1
-    den = (1.0 - r1 - p2 * r2) * (1.0 - r2 - p1 * r1) - p1 * p2 * r1 * r2
-    return (1.0 - rho * p1) * w0 / den, (1.0 - rho * p2) * w0 / den
 
 
 # ---------------------------------------------------------------------------
@@ -327,21 +319,23 @@ def hpc_utility_opt(cfg: HpcConfig) -> ControlSolution:
     priority weight p of the prime class.  Golden-section refinement on
     top of a coarse grid; endpoints always checked."""
     model = cfg.model()
+    r1, r2 = model.rho_per_class
+    w0 = model.w0
     sign = -1.0 if cfg.penalize_regular else 1.0
 
     def theta(p):
-        return cfg.a - cfg.b * rp2_waits(model, p)[0]
+        return cfg.a - cfg.b * rp2_kernel(r1, r2, w0, p)[0]
 
     if theta(1.0) < 0:
         raise InfeasibleError("the prime price is negative at every priority level")
 
     def util(p):
-        w = rp2_waits(model, p)
-        return cfg.w1 * (cfg.a - cfg.b * w[0]) * cfg.lambda_P + sign * cfg.w2 * w[1]
+        # p is a float or the whole grid
+        w_p, w_r = rp2_kernel(r1, r2, w0, p)
+        return cfg.w1 * (cfg.a - cfg.b * w_p) * cfg.lambda_P + sign * cfg.w2 * w_r
 
     grid = np.linspace(0.0, 1.0, 1001)
-    vals = [util(p) for p in grid]
-    i = int(np.argmax(vals))
+    i = int(np.argmax(util(grid)))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
     p_star, u_star = _golden_max(util, lo, hi, 1e-12)
@@ -360,12 +354,14 @@ def hpc_revenue_constrained(cfg: HpcConfig) -> ControlSolution:
     if cfg.S_R is None:
         raise InvalidParameterError("S_R is required for the constrained problem")
     model = cfg.model()
+    r1, r2 = model.rho_per_class
+    w0 = model.w0
 
     def w_reg(p):
-        return rp2_waits(model, p)[1]
+        return rp2_kernel(r1, r2, w0, p)[1]
 
-    def revenue(p):
-        return (cfg.a - cfg.b * rp2_waits(model, p)[0]) * cfg.lambda_P
+    def theta(p):
+        return cfg.a - cfg.b * rp2_kernel(r1, r2, w0, p)[0]
 
     w_min, w_max = w_reg(0.0), w_reg(1.0)
     if cfg.S_R < w_min - 1e-12:
@@ -379,8 +375,8 @@ def hpc_revenue_constrained(cfg: HpcConfig) -> ControlSolution:
         active = ("S_R",)
     return ControlSolution(
         "constrained" if active else "slack",
-        {"p1": p_star, "theta": cfg.a - cfg.b * rp2_waits(model, p_star)[0]},
-        objective=revenue(p_star),
+        {"p1": p_star, "theta": theta(p_star)},
+        objective=theta(p_star) * cfg.lambda_P,
         active_constraints=active,
         diagnostics={"W_R": w_reg(p_star)},
     )
@@ -415,101 +411,130 @@ class CloudConfig:
             raise InvalidParameterError("SLA thresholds must be positive")
 
 
-def _cloud_equilibrium(cfg: CloudConfig, theta1: float, theta2: float, p1: float):
-    """Damped fixed point for the induced arrival rates; returns
-    (l1, l2, w1, w2) or raises FixedPointDivergenceError."""
+def _inverse_demand(a: float, b: float, c: float, T: float, lam: float, w: float) -> Optional[float]:
+    """Price at which the demand a - b*theta - c*w equals lam, or None when
+    no price in [0, a/b] does or the wait w breaks the cap T.  A class with
+    c = 0 ignores its wait, even an infinite one.  Zero demand holds at
+    every price from the returned one up to a/b."""
+    theta = (a - lam - (c * w if c else 0.0)) / b
+    if lam == 0.0:
+        return min(max(theta, 0.0), a / b)
+    if theta < 0.0 or w > T + 1e-12:
+        return None
+    return theta
+
+
+def _cloud_certify(cfg: CloudConfig, p1: float, r_best: float) -> tuple[float, int]:
+    """Re-solve the demand fixed point on a 21 x 21 price grid at weight p1
+    and return (the largest revenue above r_best among the converged,
+    SLA-feasible points, or 0; the number of points whose fixed point hit
+    the iteration cap).  Each point iterates with damping 0.5 until a step
+    moves its rates by less than 1e-10, for at most 1000 steps."""
     s = 1.0 / cfg.mu
     s2 = (1.0 + cfg.scv) * s * s
-    cap1 = max(cfg.a[0] - cfg.b[0] * theta1, 0.0)
-    cap2 = max(cfg.a[1] - cfg.b[1] * theta2, 0.0)
+    n = 21
+    t1 = np.linspace(0.0, cfg.a[0] / cfg.b[0], n).reshape(-1, 1)
+    t2 = np.linspace(0.0, cfg.a[1] / cfg.b[1], n).reshape(1, -1)
+    base = (np.broadcast_to(cfg.a[0] - cfg.b[0] * t1, (n, n)),
+            np.broadcast_to(cfg.a[1] - cfg.b[1] * t2, (n, n)))
+    cap = tuple(np.maximum(x, 0.0) for x in base)
 
-    def demand(base, c, w, cap):
+    def waits(l1, l2):
+        return rp2_kernel(l1 * s, l2 * s, 0.5 * (l1 + l2) * s2, p1)
+
+    def demand(i, w):
         # c = 0 demand ignores waits entirely, even unstable ones; positive
         # delay sensitivity chokes demand to zero when waits blow up
-        if c == 0.0:
-            d = base
-        elif not math.isfinite(w):
-            d = 0.0
-        else:
-            d = base - c * w
-        return min(max(d, 0.0), cap)
+        d = base[i] if cfg.c[i] == 0.0 else np.where(np.isfinite(w), base[i] - cfg.c[i] * w, 0.0)
+        return np.minimum(np.maximum(d, 0.0), cap[i])
 
-    l1, l2 = min(cap1, 0.45 * cfg.mu), min(cap2, 0.45 * cfg.mu)
+    l1, l2 = np.minimum(cap[0], 0.45 * cfg.mu), np.minimum(cap[1], 0.45 * cfg.mu)
+    running = np.ones((n, n), dtype=bool)
     for _ in range(1000):
-        w1, w2 = _rp2_inline(l1, l2, s, s2, p1)
-        n1 = demand(cfg.a[0] - cfg.b[0] * theta1, cfg.c[0], w1, cap1)
-        n2 = demand(cfg.a[1] - cfg.b[1] * theta2, cfg.c[1], w2, cap2)
-        d = max(abs(n1 - l1), abs(n2 - l2))
-        l1 = 0.5 * (l1 + n1)
-        l2 = 0.5 * (l2 + n2)
-        if d < 1e-10:
-            w1, w2 = _rp2_inline(l1, l2, s, s2, p1)
-            return l1, l2, w1, w2
-    raise FixedPointDivergenceError("arrival-rate fixed point did not converge")
+        w1, w2 = waits(l1, l2)
+        n1, n2 = demand(0, w1), demand(1, w2)
+        step = np.maximum(np.abs(n1 - l1), np.abs(n2 - l2))
+        l1 = np.where(running, 0.5 * (l1 + n1), l1)
+        l2 = np.where(running, 0.5 * (l2 + n2), l2)
+        running &= ~(step < 1e-10)
+        if not running.any():
+            break
+    w1, w2 = waits(l1, l2)
+    ok = ~running & ~((l1 > 0) & (w1 > cfg.T[0] + 1e-12)) & ~((l2 > 0) & (w2 > cfg.T[1] + 1e-12))
+    gain = np.where(ok, t1 * l1 + t2 * l2 - r_best, 0.0)
+    return max(0.0, float(gain.max())), int(running.sum())
 
 
 def cloud_revenue_opt(cfg: CloudConfig, p_grid: int = 41, theta_tol: float = 1e-7) -> ControlSolution:
-    """Maximize theta1*l1 + theta2*l2 over prices and the priority weight,
-    with the arrival rates set by the demand fixed point and SLA caps
-    enforced by rejection.  Nested golden-section over the two prices, a
-    grid plus golden refinement over p."""
+    """Maximize theta1*l1 + theta2*l2 over prices and the priority weight.
 
-    theta_hi = (cfg.a[0] / cfg.b[0], cfg.a[1] / cfg.b[1])
+    The search runs over the arrival rates (l1, l2) and recovers each price
+    by inverse demand, theta_i = (a_i - l_i - c_i*W_i)/b_i with W_i the RP
+    wait at those rates, so every candidate is an exact demand equilibrium
+    at one closed-form wait evaluation.  Rates whose price would leave
+    [0, a_i/b_i], or whose wait breaks its SLA cap T_i, are rejected.
+    Nested golden-section over the two rates, a grid plus golden
+    refinement over p.  theta_tol bounds the final bracket of each rate
+    search to theta_tol*b_i, a price resolution of theta_tol in the
+    delay-free part of the inverse demand.
 
-    def revenue(theta1, theta2, p1):
-        try:
-            l1, l2, w1, w2 = _cloud_equilibrium(cfg, theta1, theta2, p1)
-        except FixedPointDivergenceError:
-            return -_INF, None
-        if (l1 > 0 and w1 > cfg.T[0] + 1e-12) or (l2 > 0 and w2 > cfg.T[1] + 1e-12):
-            return -_INF, None
-        return theta1 * l1 + theta2 * l2, (l1, l2, w1, w2)
+    The optimum is certified on a 21 x 21 price grid at the chosen p by
+    the damped demand fixed point: `certification_margin` is the largest
+    revenue any converged, SLA-feasible grid point beats the optimum by
+    (0 when none does), and `certification_unconverged` counts the grid
+    points whose fixed point hit its iteration cap and so were not
+    compared."""
+    s = 1.0 / cfg.mu
+    s2 = (1.0 + cfg.scv) * s * s
+    (a1, a2), (b1, b2), (c1, c2), (T1, T2) = cfg.a, cfg.b, cfg.c, cfg.T
+
+    def equilibrium(l1, l2, p1):
+        # (theta1, theta2, w1, w2) that support rates (l1, l2), or None
+        w1, w2 = rp2_kernel(l1 * s, l2 * s, 0.5 * (l1 + l2) * s2, p1)
+        theta1 = _inverse_demand(a1, b1, c1, T1, l1, w1)
+        theta2 = _inverse_demand(a2, b2, c2, T2, l2, w2)
+        if theta1 is None or theta2 is None:
+            return None
+        return theta1, theta2, w1, w2
+
+    def revenue(l1, l2, p1):
+        eq = equilibrium(l1, l2, p1)
+        return -_INF if eq is None else eq[0] * l1 + eq[1] * l2
 
     def best_at_p(p1, tol):
-        def outer(theta1):
-            return _golden_max(
-                lambda theta2: revenue(theta1, theta2, p1)[0], 0.0, theta_hi[1], tol
-            )[1]
+        def inner(l1):
+            return _golden_max(lambda l2: revenue(l1, l2, p1), 0.0, a2, tol * b2)
 
-        t1, _ = _golden_max(outer, 0.0, theta_hi[0], tol)
-        t2, r = _golden_max(lambda x: revenue(t1, x, p1)[0], 0.0, theta_hi[1], tol)
-        return r, t1, t2
+        l1, _ = _golden_max(lambda x: inner(x)[1], 0.0, a1, tol * b1)
+        l2, r = inner(l1)
+        return r, l1, l2
 
     # coarse scan over p, then one golden refinement of p, then a fine
-    # price solve at the incumbent p
+    # rate solve at the incumbent p
     coarse = max(theta_tol, 1e-3)
-    grid = np.linspace(0.0, 1.0, p_grid)
-    results = [(best_at_p(p, coarse), p) for p in grid]
-    i = int(np.argmax([r[0][0] for r in results]))
+    grid = np.linspace(0.0, 1.0, p_grid).tolist()
+    results = [best_at_p(p, coarse)[0] for p in grid]
+    i = int(np.argmax(results))
     p_best = grid[i]
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, p_grid - 1)]
     if hi > lo:
         p_ref, r_ref = _golden_max(lambda p: best_at_p(p, coarse)[0], lo, hi, 1e-3)
-        if r_ref > results[i][0][0]:
+        if r_ref > results[i]:
             p_best = p_ref
-    r_best, t1_best, t2_best = best_at_p(p_best, theta_tol)
-    if r_best == -_INF:
-        raise InfeasibleError("no price pair satisfies the SLA constraints")
-
-    r_final, detail = revenue(t1_best, t2_best, p_best)
-    l1, l2, w1, w2 = detail
+    # zero rates are always admissible (zero waits, revenue 0), so r_best is finite
+    r_best, l1, l2 = best_at_p(p_best, theta_tol)
+    theta1, theta2, w1, w2 = equilibrium(l1, l2, p_best)
     active = tuple(
         name
-        for name, w, T, l in (("T1", w1, cfg.T[0], l1), ("T2", w2, cfg.T[1], l2))
+        for name, w, T, l in (("T1", w1, T1, l1), ("T2", w2, T2, l2))
         if l > 0 and math.isfinite(T) and w > T - 1e-6
     )
-
-    # coarse re-certification around the incumbent
-    margin = 0.0
-    for t1 in np.linspace(0.0, theta_hi[0], 21):
-        for t2 in np.linspace(0.0, theta_hi[1], 21):
-            r, _ = revenue(t1, t2, p_best)
-            margin = max(margin, r - r_final)
+    margin, unconverged = _cloud_certify(cfg, p_best, r_best)
     return ControlSolution(
         "priced",
-        {"theta1": t1_best, "theta2": t2_best, "p1": p_best},
-        objective=r_final,
+        {"theta1": theta1, "theta2": theta2, "p1": p_best},
+        objective=r_best,
         active_constraints=active,
         diagnostics={
             "lambda1": l1,
@@ -517,6 +542,7 @@ def cloud_revenue_opt(cfg: CloudConfig, p_grid: int = 41, theta_tol: float = 1e-
             "W1": w1,
             "W2": w2,
             "certification_margin": margin,
+            "certification_unconverged": unconverged,
         },
     )
 
@@ -568,12 +594,19 @@ def joint_pricing_T1(cfg: JointPricingConfig, grid: int = 200) -> ControlSolutio
             f"S_p={cfg.S_p:.6g} is below the primary wait {w_p0:.6g} with no secondary traffic"
         )
 
+    lam_p = cfg.lambda_p
+    r_p = lam_p * s
+
+    def waits(ls, p):
+        # (primary, secondary) RP waits at secondary rate ls
+        return rp2_kernel(r_p, ls * s, 0.5 * (lam_p + ls) * s2, p)
+
     def obj(ls, p):
         if ls < 0.0 or ls > ls_max:
             return -_INF
         if delay_blind:
             return (cfg.a * ls - ls * ls) / cfg.b
-        w_pri, w_sec = _rp2_inline(cfg.lambda_p, ls, s, s2, p)
+        w_pri, w_sec = waits(ls, p)
         if w_pri > cfg.S_p + 1e-12:
             return -_INF
         if ls > 0.0 and not math.isfinite(w_sec):
@@ -586,7 +619,7 @@ def joint_pricing_T1(cfg: JointPricingConfig, grid: int = 200) -> ControlSolutio
         if delay_blind or not math.isfinite(cfg.S_p):
             return ls_max
         def excess(ls):
-            w_pri, _ = _rp2_inline(cfg.lambda_p, ls, s, s2, p)
+            w_pri, _ = waits(ls, p)
             return min(w_pri, 1e18) - cfg.S_p
         if excess(ls_max) <= 0.0:
             return ls_max
@@ -602,7 +635,7 @@ def joint_pricing_T1(cfg: JointPricingConfig, grid: int = 200) -> ControlSolutio
             return x, obj(x, p)
         return _golden_max(lambda x: obj(x, p), 0.0, ls_upper(p), 1e-12)
 
-    p_grid = np.linspace(0.0, 1.0, grid)
+    p_grid = np.linspace(0.0, 1.0, grid).tolist()
     values = [best_at_p(p)[1] for p in p_grid]
     k = int(np.argmax(values))
     lo = p_grid[max(k - 1, 0)]
@@ -612,10 +645,7 @@ def joint_pricing_T1(cfg: JointPricingConfig, grid: int = 200) -> ControlSolutio
     if v_star == -_INF:
         raise InfeasibleError("no feasible (rate, priority) point")
 
-    if delay_blind:
-        w_pri, w_sec = _rp2_inline(cfg.lambda_p, ls_star, s, s2, p_star)
-    else:
-        w_pri, w_sec = _rp2_inline(cfg.lambda_p, ls_star, s, s2, p_star)
+    w_pri, w_sec = waits(ls_star, p_star)
     theta = (cfg.a - ls_star - (cfg.c * w_sec if math.isfinite(w_sec) else 0.0)) / cfg.b
     active = []
     if math.isfinite(cfg.S_p) and w_pri > cfg.S_p - 1e-6:

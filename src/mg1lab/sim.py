@@ -114,6 +114,8 @@ class SimConfig:
             raise InvalidParameterError("measured_jobs must be >= 1000")
         if self.replications < 1:
             raise InvalidParameterError("replications must be >= 1")
+        if self.warmup_jobs is not None and self.warmup_jobs < 0:
+            raise InvalidParameterError("warmup_jobs must be >= 0")
 
     @property
     def effective_warmup(self) -> int:

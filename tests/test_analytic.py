@@ -15,6 +15,7 @@ from mg1lab import (
     gfcfs_wait,
     pp2_waits_approx,
     rp_waits,
+    rp2_kernel,
     rp2_waits,
     strict_priority_waits_2class,
 )
@@ -128,6 +129,24 @@ class TestRP:
         m = SystemModel(tuple(CustomerClassSpec(0.15, dist) for _ in range(5)))
         w = rp_waits(m, (1.0, 2.0, 3.0, 4.0, 5.0))
         assert abs(conservation_residual(m, w)) < 1e-10
+
+
+class TestRP2Kernel:
+    def test_array_call_bit_identical_to_scalar_waits(self):
+        grid = np.linspace(0.0, 1.0, 1001)
+        for m in random_models(5, seed=11):
+            r1, r2 = m.rho_per_class
+            w1, w2 = rp2_kernel(r1, r2, m.w0, grid)
+            ref = [rp2_waits(m, p) for p in grid]
+            assert w1.tolist() == [w[0] for w in ref]
+            assert w2.tolist() == [w[1] for w in ref]
+
+    def test_unstable_load_gives_inf(self):
+        for r1, r2 in ((0.6, 0.4), (0.7, 0.5), (0.5, 0.5 - 1e-10)):
+            assert rp2_kernel(r1, r2, 0.5, 0.3) == (math.inf, math.inf)
+        w1, w2 = rp2_kernel(np.array([0.2, 0.6, 0.9]), np.array([0.3, 0.4, 0.9]), 0.5, 0.3)
+        assert np.isfinite(w1[0]) and np.isfinite(w2[0])
+        assert np.isinf(w1[1:]).all() and np.isinf(w2[1:]).all()
 
 
 class TestPP:

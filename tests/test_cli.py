@@ -181,6 +181,18 @@ class TestOptimize:
         assert sol["p_rp"] == pytest.approx(0.0151, abs=5e-3)
         assert sol["utility_opt"] == pytest.approx(209.16, abs=5e-2)
 
+    def test_cloud_delay_blind_closed_form(self, tmp_path):
+        doc = {"mu": 1.0, "scv": 1.0, "a": [1.0, 0.8], "b": [2.0, 1.5], "c": [0.0, 0.0]}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(doc))
+        out = tmp_path / "out.json"
+        rc = main(["optimize", "cloud", "--config", str(p), "--out", str(out)])
+        assert rc == 0
+        sol = json.loads(out.read_text())["solution"]
+        want = sum(a * a / (4.0 * b) for a, b in zip(doc["a"], doc["b"]))
+        assert sol["objective"] == pytest.approx(want, abs=1e-8)
+        assert sol["diagnostics"]["certification_unconverged"] == 0
+
     def test_infeasible_exit_6(self, tmp_path):
         doc = {"lambda_p": 0.3, "mu": 1.0, "sigma2": 1.0, "S_p": 0.1,
                "a": 2.0, "b": 1.0, "c": 1.0}

@@ -247,6 +247,56 @@ class TestCloud:
         assert again == pytest.approx(sol.objective, abs=1e-9)
 
 
+def _induced_rates(cfg, theta1, theta2, p1, iters=2000):
+    """Arrival rates that prices (theta1, theta2) induce at RP weight p1,
+    by the damped demand fixed point started from zero demand."""
+    s = 1.0 / cfg.mu
+    s2 = (1.0 + cfg.scv) * s * s
+    base = (cfg.a[0] - cfg.b[0] * theta1, cfg.a[1] - cfg.b[1] * theta2)
+    lam = [0.0, 0.0]
+    for _ in range(iters):
+        r1, r2 = lam[0] * s, lam[1] * s
+        if r1 + r2 < 1.0:
+            w0 = 0.5 * (lam[0] + lam[1]) * s2
+            p2 = 1.0 - p1
+            den = (1.0 - r1 - p2 * r2) * (1.0 - r2 - p1 * r1) - p1 * p2 * r1 * r2
+            w = ((1.0 - (r1 + r2) * p1) * w0 / den, (1.0 - (r1 + r2) * p2) * w0 / den)
+        else:
+            w = (math.inf, math.inf)
+        for i in range(2):
+            if cfg.c[i] == 0.0:
+                nxt = base[i]
+            else:
+                nxt = base[i] - cfg.c[i] * w[i] if math.isfinite(w[i]) else 0.0
+            lam[i] = 0.5 * (lam[i] + min(max(nxt, 0.0), max(base[i], 0.0)))
+    return lam
+
+
+class TestCloudEquilibrium:
+    @pytest.mark.parametrize(
+        "cfg, binding",
+        [
+            (CloudConfig(mu=1.0, scv=1.0, a=(1.0, 1.0), b=(2.0, 2.0), c=(0.0, 0.0)), ()),
+            (CloudConfig(mu=1.0, scv=1.0, a=(0.8, 0.8), b=(1.5, 1.5), c=(0.2, 0.2),
+                         T=(5.0, 5.0)), ()),
+            (CloudConfig(mu=1.0, scv=1.0, a=(1.0, 0.6), b=(2.0, 1.0), c=(0.5, 0.1),
+                         T=(0.4, 8.0)), ("T1",)),
+            (CloudConfig(mu=1.0, scv=1.0, a=(0.8, 0.8), b=(1.5, 1.5), c=(0.0, 0.3)), ()),
+        ],
+        ids=["c0", "symmetric-T5", "asymmetric-binding-T1", "mixed"],
+    )
+    def test_prices_induce_returned_rates(self, cfg, binding):
+        sol = cloud_revenue_opt(cfg)
+        t1, t2, p1 = sol.params["theta1"], sol.params["theta2"], sol.params["p1"]
+        assert 0.0 <= t1 <= cfg.a[0] / cfg.b[0] and 0.0 <= t2 <= cfg.a[1] / cfg.b[1]
+        l1, l2 = _induced_rates(cfg, t1, t2, p1)
+        assert l1 == pytest.approx(sol.diagnostics["lambda1"], abs=1e-8)
+        assert l2 == pytest.approx(sol.diagnostics["lambda2"], abs=1e-8)
+        assert sol.active_constraints == binding
+        assert sol.diagnostics["certification_margin"] <= 1e-6
+        assert sol.diagnostics["certification_unconverged"] >= 0
+
+
 class TestJointPricing:
     def test_no_demand_no_revenue(self):
         cfg = JointPricingConfig(0.3, 1.0, 1.0, math.inf, 0.0, 1.0, 1.0)

@@ -68,6 +68,11 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             SimConfig(seed=1, replications=0)
 
+    def test_negative_warmup_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            SimConfig(seed=1, warmup_jobs=-1)
+        assert SimConfig(seed=1, warmup_jobs=0).effective_warmup == 0
+
 
 class TestDeterminism:
     def test_identical_runs_bit_identical(self):
