@@ -24,8 +24,10 @@ from typing import Optional
 from . import __version__
 from .core import (
     SystemModel,
+    WaitVector,
     conservation_residual,
     gfcfs_wait,
+    json_dumps,
     segment_point,
     strict_priority_waits_2class,
     wait_bounds,
@@ -60,7 +62,7 @@ from .mappings import (
     p1_from_beta,
     beta_from_integral,
 )
-from .sim import DDP, EDD, GFCFS, HOLPJ, PP, RP, SimConfig, Strict, run_sim
+from .sim import DDP, EDD, GFCFS, HOLPJ, PP, RP, SimConfig, Strict, run_sim, service_start_sequence
 from .tables import check_table, table_csv
 from . import tables as _tables
 
@@ -70,6 +72,10 @@ EXIT_UNSTABLE = 3
 EXIT_PARAMS = 4
 EXIT_CHECK = 5
 EXIT_INFEASIBLE = 6
+
+
+class _MalformedValueError(Exception):
+    """A command-line value does not parse (exit 2)."""
 
 
 def _manifest(args: argparse.Namespace) -> dict:
@@ -88,9 +94,9 @@ def _manifest(args: argparse.Namespace) -> dict:
 def _emit(args: argparse.Namespace, payload: dict, csv_text: Optional[str] = None) -> None:
     manifest = _manifest(args)
     if args.format == "csv" and csv_text is not None:
-        text = "# manifest: " + json.dumps(manifest, sort_keys=True) + "\n" + csv_text
+        text = "# manifest: " + json_dumps(manifest, sort_keys=True) + "\n" + csv_text
     else:
-        text = json.dumps({"manifest": manifest, **payload}, sort_keys=True, indent=2) + "\n"
+        text = json_dumps({"manifest": manifest, **payload}, sort_keys=True, indent=2) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -113,33 +119,43 @@ def _load_config_doc(args: argparse.Namespace) -> dict:
         return json.load(fh)
 
 
-def _float(x: str) -> float:
-    v = float(x)
-    return v
+def _flag(args: argparse.Namespace, name: str, alternative: str = ""):
+    """Value of a flag the chosen discipline needs; missing is exit 4."""
+    value = getattr(args, name)
+    if value is None:
+        raise InvalidParameterError(f"--discipline {args.discipline} needs --{name}{alternative}")
+    return value
 
 
-def _discipline_from_args(model: SystemModel, args: argparse.Namespace):
+def _numbers(args: argparse.Namespace, name: str, alternative: str = "", kind=float) -> tuple:
+    """Comma-separated numbers of a discipline flag; malformed is exit 2."""
+    text = _flag(args, name, alternative)
+    try:
+        return tuple(kind(x) for x in text.split(","))
+    except ValueError:
+        raise _MalformedValueError(f"--{name} must be comma-separated numbers, got {text!r}") from None
+
+
+def _discipline_from_args(args: argparse.Namespace):
     name = args.discipline
     if name == "gfcfs":
         return GFCFS()
     if name == "strict":
-        order = tuple(int(x) for x in args.order.split(","))
-        return Strict(order)
+        return Strict(_numbers(args, "order", kind=int))
     if name == "ddp":
-        if args.beta is not None:
-            return ("ddp2", _float(args.beta))
-        return DDP(tuple(_float(x) for x in args.b.split(",")))
+        if args.beta is None:
+            return DDP(_numbers(args, "b", " or --beta"))
+        # beta shorthand: rates (1, beta); beta = inf is strict priority to class 2
+        return Strict((1, 0)) if args.beta == math.inf else DDP((1.0, args.beta))
     if name == "rp":
-        if args.p1 is not None:
-            return RP((args.p1, 1.0 - args.p1))
-        return RP(tuple(_float(x) for x in args.p.split(",")))
+        if args.p1 is None:
+            return RP(_numbers(args, "p", " or --p1"))
+        return RP((args.p1, 1.0 - args.p1))
     if name == "pp":
-        return PP((args.omega1, 1.0))
+        return PP((_flag(args, "omega1"), 1.0))
     if name == "edd":
-        return EDD(tuple(_float(x) for x in args.u.split(",")))
-    if name == "holpj":
-        return HOLPJ(tuple(_float(x) for x in args.u.split(",")), dispatch=args.dispatch)
-    raise InvalidParameterError(f"unknown discipline {name!r}")
+        return EDD(_numbers(args, "u"))
+    return HOLPJ(_numbers(args, "u"), dispatch=args.dispatch)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -149,24 +165,21 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         w = gfcfs_wait(model)
         waits = tuple([w] * model.n_classes)
     elif name == "strict":
-        first = int(args.order.split(",")[0])
-        waits = tuple(strict_priority_waits_2class(model, first))
+        waits = tuple(strict_priority_waits_2class(model, _numbers(args, "order", kind=int)[0]))
     elif name == "ddp" and args.beta is not None:
-        waits = tuple(ddp2_waits(model, _float(args.beta)))
+        waits = tuple(ddp2_waits(model, args.beta))
     elif name == "ddp":
-        waits = tuple(ddp_waits(model, tuple(_float(x) for x in args.b.split(","))))
+        waits = tuple(ddp_waits(model, _numbers(args, "b", " or --beta")))
     elif name == "rp" and args.p1 is not None:
         waits = tuple(rp2_waits(model, args.p1))
     elif name == "rp":
-        waits = tuple(rp_waits(model, tuple(_float(x) for x in args.p.split(","))))
+        waits = tuple(rp_waits(model, _numbers(args, "p", " or --p1")))
     elif name == "pp":
-        waits = tuple(pp2_waits_approx(model, args.omega1))
+        waits = tuple(pp2_waits_approx(model, _flag(args, "omega1")))
     elif name == "edd":
-        waits = tuple(edd2_waits_from_integral(model, args.integral, args.sign))
+        waits = tuple(edd2_waits_from_integral(model, _flag(args, "integral"), args.sign))
     else:
-        raise InvalidParameterError(f"unknown discipline {name!r}")
-    from .core import WaitVector
-
+        raise InvalidParameterError(f"no closed form for {name!r}; simulate it instead")
     payload = {
         "waits": list(waits),
         "conservation_residual": conservation_residual(model, WaitVector(waits)),
@@ -178,11 +191,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     model = _load_model(args)
-    disc = _discipline_from_args(model, args)
-    if isinstance(disc, tuple) and disc[0] == "ddp2":
-        # beta shorthand: rates (1, beta)
-        beta = disc[1]
-        disc = Strict((1, 0)) if math.isinf(beta) else DDP((1.0, beta))
+    disc = _discipline_from_args(args)
     cfg = SimConfig(
         seed=args.seed,
         measured_jobs=args.jobs,
@@ -191,8 +200,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     est = run_sim(model, disc, cfg)
     if args.trace:
-        from .sim import service_start_sequence
-
         records = service_start_sequence(model, disc, args.jobs, args.seed)
         with open(args.trace, "w") as fh:
             fh.write("time,class,arrival_time,wait\n")
@@ -205,7 +212,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "conservation_residual": est.residual,
     }
     csv_text = "class,mean,ci_halfwidth_95,samples\n" + "".join(
-        f"{i + 1},{m!r},{c!r},{n}\n"
+        f"{i + 1},{float(m)!r},{float(c)!r},{n}\n"
         for i, (m, c, n) in enumerate(zip(est.mean, est.ci_halfwidth_95, est.sample_count))
     )
     _emit(args, payload, csv_text)
@@ -216,7 +223,7 @@ def cmd_map(args: argparse.Namespace) -> int:
     model = _load_model(args)
     try:
         src, raw = args.source.split(":", 1)
-        value = _float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise InvalidParameterError(f"--from must look like scheme:value, got {args.source!r}") from exc
     dst = args.to
@@ -370,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--discipline", required=True,
                        choices=("gfcfs", "strict", "ddp", "rp", "pp", "edd", "holpj"))
         p.add_argument("--order", default="0,1", help="strict-priority order, e.g. 0,1")
-        p.add_argument("--beta", help="2-class rate ratio for ddp")
+        p.add_argument("--beta", type=float, help="2-class rate ratio for ddp")
         p.add_argument("--b", help="comma-separated accumulation rates for ddp")
         p.add_argument("--p1", type=float, help="2-class weight for rp")
         p.add_argument("--p", help="comma-separated weights for rp")
@@ -432,7 +439,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, _MalformedValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except QueueingError as exc:

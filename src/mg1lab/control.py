@@ -10,19 +10,18 @@ numerically and certified against dense grids.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import (
     CustomerClassSpec,
     ServiceDistribution,
     SystemModel,
     gfcfs_wait,
+    json_dumps,
     strict_priority_waits_2class,
     segment_point,
 )
@@ -47,7 +46,8 @@ class ControlSolution:
     diagnostics: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(
+        """JSON text; non-finite numbers (an unstable class's wait) are null."""
+        return json_dumps(
             {
                 "case": self.case,
                 "params": self.params,
@@ -371,6 +371,8 @@ def hpc_revenue_constrained(cfg: HpcConfig) -> ControlSolution:
     if cfg.S_R >= w_max:
         p_star, active = 1.0, ()
     else:
+        from scipy.optimize import brentq  # scipy loads only when a root is needed
+
         p_star = brentq(lambda p: w_reg(p) - cfg.S_R, 0.0, 1.0, xtol=1e-14)
         active = ("S_R",)
     return ControlSolution(
@@ -625,6 +627,8 @@ def joint_pricing_T1(cfg: JointPricingConfig, grid: int = 200) -> ControlSolutio
             return ls_max
         if excess(0.0) >= 0.0:
             return 0.0
+        from scipy.optimize import brentq
+
         return brentq(excess, 0.0, ls_max, xtol=1e-14)
 
     def best_at_p(p):

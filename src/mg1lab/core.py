@@ -184,6 +184,22 @@ class AchievableSegment:
     endpoint_21: WaitVector
 
 
+def json_dumps(obj, **kwargs) -> str:
+    """`json.dumps` that writes every non-finite float as null: RFC 8259
+    JSON has no Infinity or NaN."""
+    return json.dumps(_finite(obj), allow_nan=False, **kwargs)
+
+
+def _finite(obj):
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return obj
+
+
 def derive_loads(model: SystemModel) -> tuple[tuple[float, ...], float, float]:
     """Return (rho_i per class, total rho, W0)."""
     return model.rho_per_class, model.rho, model.w0

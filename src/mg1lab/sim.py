@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from itertools import accumulate, chain, repeat
+from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from .core import ServiceDistribution, SystemModel, WaitVector, conservation_residual, gfcfs_wait
 from .errors import InvalidParameterError, WrongClassCountError
@@ -138,24 +139,10 @@ class SimEstimate:
 # ---------------------------------------------------------------------------
 # random streams
 
-class _Stream:
-    """Chunked draws from one substream; refills lazily."""
-
-    __slots__ = ("_rng", "_draw", "_buf", "_i")
-
-    def __init__(self, seed_seq, draw):
-        self._rng = np.random.Generator(np.random.PCG64(seed_seq))
-        self._draw = draw
-        self._buf = draw(self._rng, _CHUNK)
-        self._i = 0
-
-    def next(self) -> float:
-        if self._i >= _CHUNK:
-            self._buf = self._draw(self._rng, _CHUNK)
-            self._i = 0
-        v = self._buf[self._i]
-        self._i += 1
-        return v
+def _stream(seed_seq, draw):
+    """`next` of an endless stream of Python floats drawn _CHUNK at a time."""
+    rng = np.random.Generator(np.random.PCG64(seed_seq))
+    return chain.from_iterable(draw(rng, _CHUNK).tolist() for _ in repeat(None)).__next__
 
 
 def _service_draw(dist: ServiceDistribution):
@@ -184,6 +171,144 @@ def _service_draw(dist: ServiceDistribution):
 
 
 # ---------------------------------------------------------------------------
+# selection rules
+
+def _selector(disc: DisciplineConfig, queues: list, draw):
+    """Build the discipline's selection rule once, before the event loop.
+
+    The rule is called with the current time when some job waits; it pops
+    exactly one job and returns (class, arrival, service).  It never reads
+    the service requirement of a job it does not choose (non-anticipative).
+    `queues[c]` holds class c's waiting (arrival, service) pairs in arrival
+    order; `draw` is the selection substream.
+    """
+    n = len(queues)
+    if isinstance(disc, Strict):
+        ordered = [(c, queues[c]) for c in disc.order]
+
+        def select(now):
+            for c, q in ordered:
+                if q:
+                    a, s = q.popleft()
+                    return c, a, s
+        return select
+
+    if isinstance(disc, DDP):
+        heads = list(zip(range(n), queues, disc.b))
+
+        def select(now):
+            # largest accrued priority (now - arrival) * b; ties to the earlier arrival
+            bc = -1
+            for c, q, b in heads:
+                if q:
+                    a = q[0][0]
+                    v = (now - a) * b
+                    if bc < 0 or v > bv or (v == bv and a < ba):
+                        bv, ba, bc = v, a, c
+            a, s = queues[bc].popleft()
+            return bc, a, s
+        return select
+
+    if isinstance(disc, RP):
+        p = disc.p
+        if n == 2:
+            q0, q1 = queues
+            p0, p1 = p
+
+            def select(now):
+                if q0 and q1:
+                    w0 = len(q0) * p0
+                    c = 0 if draw() * (w0 + len(q1) * p1) < w0 else 1
+                else:
+                    c = 0 if q0 else 1
+                a, s = queues[c].popleft()
+                return c, a, s
+            return select
+
+        def select(now):
+            # class c with probability proportional to (queue length) * p[c]
+            nonempty = [c for c in range(n) if queues[c]]
+            c = nonempty[-1]
+            if len(nonempty) > 1:
+                acc = list(accumulate([len(queues[cc]) * p[cc] for cc in nonempty]))
+                # the scaled draw may round up to the total, which picks the last class
+                c = nonempty[min(bisect_right(acc, draw() * acc[-1]), len(acc) - 1)]
+            a, s = queues[c].popleft()
+            return c, a, s
+        return select
+
+    if isinstance(disc, PP):
+        q0, q1 = queues
+        p0 = disc.p[0]
+
+        def select(now):
+            # poll queue 1 with probability p0; an empty queue is skipped, and
+            # a queue that waits alone is served with probability 1
+            c = 0 if q0 and (not q1 or p0 >= 1.0 or (p0 > 0.0 and draw() < p0)) else 1
+            a, s = queues[c].popleft()
+            return c, a, s
+        return select
+
+    if isinstance(disc, HOLPJ) and disc.dispatch == "jump":
+        return _holpj_jump(disc.D, queues)
+
+    # GFCFS, EDD and HOL-PJ ordering are one rule: serve min(arrival + offset)
+    offsets = disc.u if isinstance(disc, EDD) else disc.D if isinstance(disc, HOLPJ) else (0.0,) * n
+    heads = list(zip(range(n), queues, offsets))
+
+    def select(now):
+        # smallest arrival + offset; ties to the earlier arrival
+        bc = -1
+        for c, q, o in heads:
+            if q:
+                a = q[0][0]
+                v = a + o
+                if bc < 0 or v < bv or (v == bv and a < ba):
+                    bv, ba, bc = v, a, c
+        a, s = queues[bc].popleft()
+        return bc, a, s
+    return select
+
+
+def _holpj_jump(D: tuple[float, ...], queues: list):
+    """HOL-PJ by its queue-jump mechanism, kept as the reference for the
+    ordering rule min(arrival + D).  queues[k] is priority level k, which
+    class-k jobs enter on arrival; a job moves up one level each time it has
+    waited D[k] - D[k-1] there, and the highest nonempty level is served.
+    A job that has jumped is held as (arrival, service, class, entry time
+    into its level)."""
+    jumps = [(k, queues[k], D[k] - D[k - 1]) for k in range(1, len(queues))]
+
+    def entry(job):
+        # a job enters its class's level on arrival
+        return job[3] if len(job) > 2 else job[0]
+
+    def select(now):
+        # move every due jump, in chronological order of jump instants
+        while True:
+            due = None
+            for k, q, gap in jumps:
+                if q:
+                    d = entry(q[0]) + gap
+                    if d <= now and (due is None or d < due):
+                        due, lvl = d, k
+            if due is None:
+                break
+            job = queues[lvl].popleft()
+            target = queues[lvl - 1]
+            # merge by entry time so level order matches chronology
+            idx = len(target)
+            while idx > 0 and entry(target[idx - 1]) > due:
+                idx -= 1
+            target.insert(idx, (job[0], job[1], job[2] if len(job) > 2 else lvl, due))
+        for k, q in enumerate(queues):
+            if q:
+                job = q.popleft()
+                return (job[2] if len(job) > 2 else k), job[0], job[1]
+    return select
+
+
+# ---------------------------------------------------------------------------
 # one replication
 
 def _replicate(
@@ -201,190 +326,59 @@ def _replicate(
     warmup; `boundaries` collects (busy_start, busy_end) pairs."""
     n = model.n_classes
     children = rep_seed_seq.spawn(2 * n + 1)
-    arr_streams = []
-    srv_streams = []
-    for i, spec in enumerate(model.classes):
-        if spec.lam > 0:
-            mean_ia = 1.0 / spec.lam
-            arr_streams.append(_Stream(children[2 * i], lambda rng, k, m=mean_ia: rng.exponential(m, k)))
-        else:
-            arr_streams.append(None)
-        srv_streams.append(_Stream(children[2 * i + 1], _service_draw(spec.service)))
-    sel = _Stream(children[2 * n], lambda rng, k: rng.random(k))
+    arrivals = [
+        _stream(children[2 * i], lambda rng, k, m=1.0 / spec.lam: rng.exponential(m, k))
+        if spec.lam > 0 else None
+        for i, spec in enumerate(model.classes)
+    ]
+    services = [
+        _stream(children[2 * i + 1], _service_draw(spec.service))
+        for i, spec in enumerate(model.classes)
+    ]
+    queues = [deque() for _ in range(n)]
+    select = _selector(disc, queues, _stream(children[2 * n], lambda rng, k: rng.random(k)))
 
     total = warmup + measured
     sums = [0.0] * n
     counts = [0] * n
-
-    # discipline dispatch setup
-    kind = type(disc).__name__
-    holpj_jump = isinstance(disc, HOLPJ) and disc.dispatch == "jump"
-    if holpj_jump:
-        # queues are priority levels; entries [arrival, service, class, entry_time]
-        jump_gaps = [0.0] + [disc.D[k] - disc.D[k - 1] for k in range(1, n)]
-        queues = [deque() for _ in range(n)]
-    else:
-        queues = [deque() for _ in range(n)]
-
-    next_arr = [arr_streams[i].next() if arr_streams[i] is not None else _INF for i in range(n)]
-    t = 0.0
-    busy = False
-    completion = _INF
+    next_arr = [nxt() if nxt is not None else _INF for nxt in arrivals]
+    ta = min(next_arr)
+    ai = next_arr.index(ta)  # earliest pending arrival; ties to the lower class
+    two = n == 2
+    completion = _INF  # end of the current service; +inf while the server idles
     n_waiting = 0
     starts = 0
-    busy_start = None
-
-    if isinstance(disc, DDP):
-        ddp_b = disc.b
-    if isinstance(disc, EDD):
-        edd_key = disc.u
-    if isinstance(disc, HOLPJ) and not holpj_jump:
-        edd_key = disc.D
-    if isinstance(disc, RP):
-        rp_p = disc.p
-    if isinstance(disc, PP):
-        pp_p1 = disc.p[0]
-    if isinstance(disc, Strict):
-        strict_order = disc.order
-
-    def select(now):
-        # exactly one job is returned; never reads service requirements of
-        # jobs other than the one chosen (non-anticipative)
-        if kind == "Strict":
-            for c in strict_order:
-                if queues[c]:
-                    a, s = queues[c].popleft()
-                    return c, a, s
-        elif kind == "GFCFS":
-            best, bc = None, -1
-            for c in range(n):
-                q = queues[c]
-                if q and (best is None or q[0][0] < best):
-                    best, bc = q[0][0], c
-            a, s = queues[bc].popleft()
-            return bc, a, s
-        elif kind == "DDP":
-            best, ba, bc = None, None, -1
-            for c in range(n):
-                q = queues[c]
-                if q:
-                    v = (now - q[0][0]) * ddp_b[c]
-                    if best is None or v > best or (v == best and q[0][0] < ba):
-                        best, ba, bc = v, q[0][0], c
-            a, s = queues[bc].popleft()
-            return bc, a, s
-        elif kind == "EDD" or (kind == "HOLPJ" and not holpj_jump):
-            best, ba, bc = None, None, -1
-            for c in range(n):
-                q = queues[c]
-                if q:
-                    v = q[0][0] + edd_key[c]
-                    if best is None or v < best or (v == best and q[0][0] < ba):
-                        best, ba, bc = v, q[0][0], c
-            a, s = queues[bc].popleft()
-            return bc, a, s
-        elif kind == "RP":
-            nonempty = [c for c in range(n) if queues[c]]
-            if len(nonempty) == 1:
-                c = nonempty[0]
-            else:
-                wts = [len(queues[c]) * rp_p[c] for c in nonempty]
-                u = sel.next() * sum(wts)
-                acc = 0.0
-                c = nonempty[-1]
-                for cc, w in zip(nonempty, wts):
-                    acc += w
-                    if u < acc:
-                        c = cc
-                        break
-            a, s = queues[c].popleft()
-            return c, a, s
-        elif kind == "PP":
-            # poll queue 1; empty queues are skipped, a nonempty queue whose
-            # successors are all empty is served with probability 1
-            if queues[0]:
-                if not queues[1]:
-                    c = 0
-                elif pp_p1 >= 1.0:
-                    c = 0
-                elif pp_p1 <= 0.0:
-                    c = 1
-                else:
-                    c = 0 if sel.next() < pp_p1 else 1
-            else:
-                c = 1
-            a, s = queues[c].popleft()
-            return c, a, s
-        else:  # HOLPJ queue-jump mechanism
-            # move every due jump, in chronological order of jump instants
-            while True:
-                due, lvl = None, -1
-                for k in range(1, n):
-                    q = queues[k]
-                    if q:
-                        d = q[0][3] + jump_gaps[k]
-                        if d <= now and (due is None or d < due):
-                            due, lvl = d, k
-                if lvl < 0:
-                    break
-                job = queues[lvl].popleft()
-                target = queues[lvl - 1]
-                # merge by entry time so level order matches chronology
-                idx = len(target)
-                while idx > 0 and target[idx - 1][3] > due:
-                    idx -= 1
-                target.insert(idx, (job[0], job[1], job[2], due))
-            for k in range(n):
-                if queues[k]:
-                    a, s, c, _ = queues[k].popleft()
-                    return c, a, s
-        raise AssertionError("select called with an empty system")
 
     while starts < total:
-        ta = next_arr[0]
-        ai = 0
-        for c in range(1, n):
-            if next_arr[c] < ta:
-                ta, ai = next_arr[c], c
-        if busy and completion <= ta:
-            t = completion
-            busy = False
-            if n_waiting:
-                c, a, s = select(t)
-                n_waiting -= 1
-                w = t - a
-                if starts >= warmup:
-                    sums[c] += w
-                    counts[c] += 1
-                if trace is not None:
-                    trace.append((t, c, a, w))
-                starts += 1
-                busy = True
-                completion = t + s
-            else:
-                completion = _INF
-                if boundaries is not None:
-                    boundaries.append((busy_start, t))
-        else:
+        if ta < completion:
+            # arrival: joins its queue; an idle server is free for it at once (zero wait)
             t = ta
-            s = srv_streams[ai].next()
-            next_arr[ai] = t + arr_streams[ai].next()
-            if not busy:
-                # idle arrival: starts service immediately, zero wait
-                if starts >= warmup:
-                    counts[ai] += 1
-                if trace is not None:
-                    trace.append((t, ai, t, 0.0))
-                starts += 1
-                busy = True
-                completion = t + s
-                busy_start = t
+            queues[ai].append((t, services[ai]()))
+            next_arr[ai] = t + arrivals[ai]()
+            n_waiting += 1
+            if completion == _INF:
+                busy_start = completion = t
+            if two:
+                ai = 1 if next_arr[1] < next_arr[0] else 0
             else:
-                if holpj_jump:
-                    queues[ai].append((t, s, ai, t))
-                else:
-                    queues[ai].append((t, s))
-                n_waiting += 1
+                ai = next_arr.index(min(next_arr))
+            ta = next_arr[ai]
+        elif n_waiting:
+            t = completion
+            c, a, s = select(t)
+            n_waiting -= 1
+            w = t - a
+            if starts >= warmup:
+                sums[c] += w
+                counts[c] += 1
+            if trace is not None:
+                trace.append((t, c, a, w))
+            starts += 1
+            completion = t + s
+        else:
+            if boundaries is not None:
+                boundaries.append((busy_start, completion))
+            completion = _INF
 
     return sums, counts
 
@@ -400,13 +394,10 @@ def run_sim(model: SystemModel, disc: DisciplineConfig, cfg: SimConfig) -> SimEs
     """
     validate_discipline(model, disc)
     warmup = cfg.effective_warmup
-    master = np.random.SeedSequence(cfg.seed)
-    rep_seqs = master.spawn(cfg.replications)
-
     n = model.n_classes
     rep_means = np.zeros((cfg.replications, n))
     total_counts = [0] * n
-    for r, seq in enumerate(rep_seqs):
+    for r, seq in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.replications)):
         sums, counts = _replicate(model, disc, warmup, cfg.measured_jobs, seq)
         for c in range(n):
             rep_means[r, c] = sums[c] / counts[c] if counts[c] else 0.0
@@ -414,7 +405,9 @@ def run_sim(model: SystemModel, disc: DisciplineConfig, cfg: SimConfig) -> SimEs
 
     mean = rep_means.mean(axis=0)
     if cfg.replications > 1:
-        tq = stats.t.ppf(0.975, cfg.replications - 1)
+        from scipy.special import stdtrit  # t-quantile; scipy loads only here
+
+        tq = stdtrit(cfg.replications - 1, 0.975)
         ci = tq * rep_means.std(axis=0, ddof=1) / math.sqrt(cfg.replications)
     else:
         ci = np.zeros(n)
@@ -429,8 +422,7 @@ def service_start_sequence(
     starts for a single replication at the given seed."""
     validate_discipline(model, disc)
     trace: list = []
-    seq = np.random.SeedSequence(seed).spawn(1)[0]
-    _replicate(model, disc, 0, n_jobs, seq, trace=trace)
+    _replicate(model, disc, 0, n_jobs, np.random.SeedSequence(seed).spawn(1)[0], trace=trace)
     return trace
 
 

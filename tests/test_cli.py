@@ -72,6 +72,21 @@ class TestAnalyze:
         rc = main(["analyze", "--config", model_path, "--discipline", "rp", "--p1", "1.5"])
         assert rc == 4
 
+    @pytest.mark.parametrize("argv", [
+        ["--discipline", "ddp"],
+        ["--discipline", "rp"],
+        ["--discipline", "pp"],
+        ["--discipline", "edd"],
+    ])
+    def test_missing_discipline_flag_exit_4(self, model_path, argv, capsys):
+        assert main(["analyze", "--config", model_path, *argv]) == 4
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_malformed_number_exit_2(self, model_path, capsys):
+        rc = main(["analyze", "--config", model_path, "--discipline", "rp", "--p", "1,x"])
+        assert rc == 2
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_byte_identical_with_pinned_timestamp(self, model_path, tmp_path):
@@ -96,6 +111,46 @@ class TestSimulate:
         lines = trace.read_text().splitlines()
         assert lines[0] == "time,class,arrival_time,wait"
         assert len(lines) == 1001
+
+    def test_trace_fields_parse(self, model_path, tmp_path):
+        trace = tmp_path / "trace.csv"
+        rc = main(["simulate", "--config", model_path, "--discipline", "rp", "--p1", "0.3",
+                   "--seed", "5", "--jobs", "1000", "--replications", "1", "--trace", str(trace),
+                   "--out", str(tmp_path / "o.json")])
+        assert rc == 0
+        for line in trace.read_text().splitlines()[1:]:
+            assert len([float(x) for x in line.split(",")]) == 4
+
+    def test_csv_numbers_parse(self, model_path, tmp_path):
+        out = tmp_path / "run.csv"
+        rc = main(["simulate", "--config", model_path, "--discipline", "gfcfs",
+                   "--seed", "5", "--jobs", "1000", "--warmup", "0", "--replications", "2",
+                   "--format", "csv", "--out", str(out)])
+        assert rc == 0
+        rows = out.read_text().splitlines()[2:]
+        assert len(rows) == 2
+        for row in rows:
+            assert all(math.isfinite(float(x)) for x in row.split(","))
+
+    @pytest.mark.parametrize("argv", [
+        ["--discipline", "ddp"],
+        ["--discipline", "edd"],
+        ["--discipline", "holpj"],
+    ])
+    def test_missing_discipline_flag_exit_4(self, model_path, argv):
+        assert main(["simulate", "--config", model_path, "--jobs", "1000", *argv]) == 4
+
+    def test_ddp_beta_shorthand(self, model_path, tmp_path):
+        outs = []
+        for argv in (["--beta", "2.0"], ["--b", "1.0,2.0"], ["--beta", "inf"], ["--order", "1,0"]):
+            out = tmp_path / "o.json"
+            disc = "strict" if argv[0] == "--order" else "ddp"
+            rc = main(["simulate", "--config", model_path, "--discipline", disc, *argv,
+                       "--jobs", "1000", "--replications", "2", "--out", str(out)])
+            assert rc == 0
+            outs.append(json.loads(out.read_text())["mean"])
+        assert outs[0] == outs[1]  # --beta b means rates (1, b)
+        assert outs[2] == outs[3]  # --beta inf is strict priority to class 2
 
 
 class TestMap:
@@ -192,6 +247,20 @@ class TestOptimize:
         want = sum(a * a / (4.0 * b) for a, b in zip(doc["a"], doc["b"]))
         assert sol["objective"] == pytest.approx(want, abs=1e-8)
         assert sol["diagnostics"]["certification_unconverged"] == 0
+
+    def test_json_has_no_infinity(self, tmp_path):
+        # this c=0 optimum sits at rho = 1, where both waits are infinite
+        doc = {"mu": 1.0, "scv": 1.0, "a": [1.0, 1.0], "b": [2.0, 2.0], "c": [0.0, 0.0]}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(doc))
+        out = tmp_path / "out.json"
+        assert main(["optimize", "cloud", "--config", str(p), "--out", str(out)]) == 0
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        sol = json.loads(out.read_text(), parse_constant=reject)["solution"]
+        assert sol["diagnostics"]["W1"] is None
 
     def test_infeasible_exit_6(self, tmp_path):
         doc = {"lambda_p": 0.3, "mu": 1.0, "sigma2": 1.0, "S_p": 0.1,

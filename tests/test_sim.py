@@ -1,4 +1,6 @@
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -185,3 +187,93 @@ class TestBusyIntegral:
         assert edd_config_from_ubar(m, math.inf) == Strict((1, 0))
         assert edd_config_from_ubar(m, -math.inf) == Strict((0, 1))
         assert edd_config_from_ubar(m, 1.5) == EDD((1.5, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# golden traces: sha256 of the 5k-job service-start sequence and of a small
+# replicated estimate, per discipline.  The event loop may be rewritten, but
+# these digests (recorded before the selector rewrite) must not move: a fixed
+# seed gives bit-identical results.  They pin numpy's PCG64 streams, so a
+# numpy release that changes a sampler would change them too.
+
+H2 = ServiceDistribution.hyperexp2(1.0, 4.0)
+N2_DISCS = {
+    "gfcfs": GFCFS(),
+    "strict01": Strict((0, 1)),
+    "strict10": Strict((1, 0)),
+    "ddp": DDP((1.0, 2.5)),
+    "edd": EDD((0.7, 0.0)),
+    "rp": RP((0.3, 0.7)),
+    "holpj-jump": HOLPJ((1.0, 3.0), "jump"),
+    "holpj-order": HOLPJ((1.0, 3.0), "order"),
+    "pp": PP((0.4, 1.0)),
+}
+N5_DISCS = {
+    "gfcfs": GFCFS(),
+    "strict": Strict((2, 0, 4, 1, 3)),
+    "ddp": DDP((1.0, 0.5, 2.0, 3.0, 0.25)),
+    "edd": EDD((0.0, 1.5, 0.3, 2.0, 0.8)),
+    "rp": RP((0.1, 0.3, 0.2, 0.25, 0.15)),
+    "holpj-jump": HOLPJ((0.5, 1.0, 2.0, 3.5, 5.0), "jump"),
+    "holpj-order": HOLPJ((0.5, 1.0, 2.0, 3.5, 5.0), "order"),
+}
+GOLDEN_MODELS = {
+    "n2-exp": model2(0.4, 0.4),
+    "n2-h2": model2(0.4, 0.4, H2),
+    "n5": SystemModel((
+        CustomerClassSpec(0.15, EXP1),
+        CustomerClassSpec(0.2, DET1),
+        CustomerClassSpec(0.1, ServiceDistribution.erlang(1.0, 3)),
+        CustomerClassSpec(0.15, H2),
+        CustomerClassSpec(0.2, EXP1),
+    )),
+}
+GOLDEN_CFG = SimConfig(seed=4242, measured_jobs=4_000, warmup_jobs=1_000, replications=3)
+
+
+GOLDEN_CASES = {
+    f"{name}/{dname}": (m, disc)
+    for name, m in GOLDEN_MODELS.items()
+    for dname, disc in (N5_DISCS if m.n_classes == 5 else N2_DISCS).items()
+}
+
+
+def _golden_digest(m, disc):
+    values = [float(x) for rec in service_start_sequence(m, disc, 5_000, 99) for x in rec]
+    est = run_sim(m, disc, GOLDEN_CFG)
+    values += [float(x) for x in est.mean + est.ci_halfwidth_95]
+    return hashlib.sha256(struct.pack(f"<{len(values)}d", *values)).hexdigest()
+
+
+GOLDEN = {
+    "n2-exp/gfcfs": "ac9b7352075b5290520f14e7ef17ee9cb8e2bc79f74d23573745bca043d60f78",
+    "n2-exp/strict01": "f887e865582f349659ec0a30f2bfdad0a4b05d39ef171a47afb7545a88928e68",
+    "n2-exp/strict10": "3fb172a69dfc39963790ebcbfbb1a126eae3b3e3a9a2290802eed9dbc6b52161",
+    "n2-exp/ddp": "c28c8e311fe3cf6f769fc5a8c6250c9b60cf915aa0432a32b52b2af0f63ae5f6",
+    "n2-exp/edd": "e0ace2b144120528e383b2e11422559089a48a01fdacf2b7dadfca4d43c2cec5",
+    "n2-exp/rp": "94e2b3ee9abf9662cca7148321423352c3c71156cceff0dbe6a1d1635210556e",
+    "n2-exp/holpj-jump": "5c2f43b7a458146e5084a8bb4faec78748017a2e9f89923ebc33035c182996c9",
+    "n2-exp/holpj-order": "5c2f43b7a458146e5084a8bb4faec78748017a2e9f89923ebc33035c182996c9",
+    "n2-exp/pp": "f0fdf109ece00d9e646073e3fc655aed55af5ae0bb4df6161c944335be89daef",
+    "n2-h2/gfcfs": "06abba8de7437d617c231a4a0c63ca0b15cc83b7b78a87575b03ba75ce549a01",
+    "n2-h2/strict01": "9d3df6df5ecc3c8e2ccf781fd46ab6551878fe864bc718552a78349c79f7dcb5",
+    "n2-h2/strict10": "4cfea20dde04ca7200652cddad6eef9f343c9beb7f4620b1d38e343073296908",
+    "n2-h2/ddp": "762b8071b8c9a3b45c5bb563ed4b2bff1ef6398773ffd8ae4c886b29d41d18dc",
+    "n2-h2/edd": "e5e3ea47c625b36af6a519bae4c180d608ac4e0f75c5c0310d0473844efb3815",
+    "n2-h2/rp": "68134695962ab428c75c9363a20fd6aaf06cf42fe8dbea4f45cbd643f48b51c0",
+    "n2-h2/holpj-jump": "f225368ff3d5743329640e8ca9ab54b0b28ad0d5049d5674f517234650c0af90",
+    "n2-h2/holpj-order": "f225368ff3d5743329640e8ca9ab54b0b28ad0d5049d5674f517234650c0af90",
+    "n2-h2/pp": "59294e0ff58294124ba83c9ee2c7dd9bf70d4f62dcab13129ec34c68b81c0bab",
+    "n5/gfcfs": "a0dddb10ea53590406aa3ae5a2989cc91b14019b95a1e46850a911a407b9d3ee",
+    "n5/strict": "d5870cd5c8942e122f0a74ea6b592121c9a260eb8349da0c0d2cd596560f5db0",
+    "n5/ddp": "58c69b4dc9a23b4e18728d0e48bd83281e9d8feb9ed938d81a992f6f9c5763e3",
+    "n5/edd": "b528dd87fdc48ce5f4e6b05731d336468cac0cc35fe0c306babb0590fa7a1dbb",
+    "n5/rp": "d3c0b51be8f6697b888484672e88e001d65db9deff27161bda044c0128dcc17c",
+    "n5/holpj-jump": "7a149434b136e17e6d363b146347a609472751de1e4a5c94560b6d58edde2699",
+    "n5/holpj-order": "7a149434b136e17e6d363b146347a609472751de1e4a5c94560b6d58edde2699",
+}
+
+
+@pytest.mark.parametrize("key", list(GOLDEN_CASES))
+def test_golden_digest(key):
+    assert _golden_digest(*GOLDEN_CASES[key]) == GOLDEN[key]
