@@ -7,16 +7,20 @@ across disciplines for a fixed seed (common random numbers).  Relative
 and probabilistic priority consume a dedicated selection substream.
 Identical (seed, model, discipline, config) inputs produce bit-identical
 estimates.
+
+Class c's waiting jobs are the index range A[c][head[c]:tail[c]] of its
+pre-drawn arrival times; the event loop admits arrivals from merged,
+time-ordered runs, serves an arrival to an idle server at once, and calls
+the discipline's selection rule only to pick the class served next.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 from typing import Optional
 
 import numpy as np
@@ -24,7 +28,8 @@ import numpy as np
 from .core import ServiceDistribution, SystemModel, WaitVector, conservation_residual, gfcfs_wait
 from .errors import InvalidParameterError, WrongClassCountError
 
-_CHUNK = 4096
+_CHUNK = 4096  # draws per substream call; H2 services interleave two draws per chunk
+_RUN = 1024  # most arrivals per merged run, which bounds the floats held beyond the queue
 _INF = math.inf
 
 
@@ -75,23 +80,24 @@ DisciplineConfig = Strict | GFCFS | DDP | EDD | RP | HOLPJ | PP
 
 def validate_discipline(model: SystemModel, disc: DisciplineConfig) -> None:
     n = model.n_classes
+    if model.rho == 0:
+        raise InvalidParameterError("no class has arrivals; there is nothing to simulate")
     if isinstance(disc, Strict):
         if sorted(disc.order) != list(range(n)):
             raise InvalidParameterError(f"order must be a permutation of 0..{n - 1}")
     elif isinstance(disc, DDP):
-        if len(disc.b) != n or any(x < 0 for x in disc.b) or all(x == 0 for x in disc.b):
-            raise InvalidParameterError("DDP needs one rate >= 0 per class, not all zero")
+        if len(disc.b) != n or not all(0 <= x < _INF for x in disc.b) or not any(disc.b):
+            raise InvalidParameterError("DDP needs one finite rate >= 0 per class, not all zero")
     elif isinstance(disc, EDD):
-        if len(disc.u) != n or any(x < 0 for x in disc.u):
-            raise InvalidParameterError("EDD needs one urgency >= 0 per class")
+        if len(disc.u) != n or not all(0 <= x < _INF for x in disc.u):
+            raise InvalidParameterError("EDD needs one finite urgency >= 0 per class")
     elif isinstance(disc, RP):
-        if len(disc.p) != n or any(not x > 0 for x in disc.p):
-            raise InvalidParameterError("RP needs one positive parameter per class")
+        if len(disc.p) != n or not all(0 < x < _INF for x in disc.p):
+            raise InvalidParameterError("RP needs one finite positive parameter per class")
     elif isinstance(disc, HOLPJ):
-        if len(disc.D) != n or disc.D[0] <= 0 or any(
-            disc.D[i] >= disc.D[i + 1] for i in range(n - 1)
-        ):
-            raise InvalidParameterError("HOLPJ needs 0 < D1 < D2 < ... <= DN")
+        D = tuple(disc.D)
+        if len(D) != n or not all(x < y for x, y in zip((0.0,) + D, D + (_INF,))):
+            raise InvalidParameterError("HOLPJ needs finite deadlines 0 < D1 < D2 < ... < DN")
         if disc.dispatch not in ("jump", "order"):
             raise InvalidParameterError(f"unknown HOLPJ dispatch {disc.dispatch!r}")
     elif isinstance(disc, PP):
@@ -139,12 +145,6 @@ class SimEstimate:
 # ---------------------------------------------------------------------------
 # random streams
 
-def _stream(seed_seq, draw):
-    """`next` of an endless stream of Python floats drawn _CHUNK at a time."""
-    rng = np.random.Generator(np.random.PCG64(seed_seq))
-    return chain.from_iterable(draw(rng, _CHUNK).tolist() for _ in repeat(None)).__next__
-
-
 def _service_draw(dist: ServiceDistribution):
     if dist.kind == "deterministic":
         m = dist.mean
@@ -170,141 +170,210 @@ def _service_draw(dist: ServiceDistribution):
     return draw
 
 
+def _arrivals(model: SystemModel, children, A: list, S: list, head: list, tail: list):
+    """Build `merge()`, which returns the next run of at most _RUN arrivals
+    as (times + [+inf], classes), in time order with ties to the lower
+    class, and appends their times to A.  A class's arrival times are drawn
+    _CHUNK at a time into `pending` (and its services into S) once it has
+    nothing left to merge but its last draw; a run holds only arrivals
+    before the earliest last draw, which no later draw can precede.  Served
+    prefixes of A and S are dropped first, so memory stays at the queue
+    plus about a chunk per class."""
+    sources = [
+        (c, np.random.default_rng(children[2 * c]), 1.0 / spec.lam,
+         np.random.default_rng(children[2 * c + 1]), _service_draw(spec.service))
+        for c, spec in enumerate(model.classes) if spec.lam > 0
+    ]
+    active = [c for c, *_ in sources]
+    pending = {c: np.empty(0) for c in active}  # drawn, not yet merged
+
+    def merge():
+        for c, h in enumerate(head):
+            if h:
+                # A's lists are shared with the selection rule, so they are cut
+                # in place; S's are rebuilt, which measured a lower peak RSS
+                del A[c][:h]
+                S[c] = S[c][h:]
+                tail[c] -= h
+                head[c] = 0
+        for c, arr, mean, srv, draw in sources:
+            p = pending[c]
+            if not len(p) or p[0] == p[-1]:
+                x = arr.exponential(mean, _CHUNK)
+                if len(p):
+                    x[0] += p[-1]
+                # left to right, so each time is the scalar t + x, bit for bit
+                pending[c] = np.concatenate((p, np.cumsum(x)))
+                S[c] = S[c] + draw(srv, _CHUNK).tolist()
+        horizon = min(pending[c][-1] for c in active)
+        # each class's first _RUN arrivals before the horizon hold the run's _RUN earliest
+        firsts = [pending[c][:min(np.searchsorted(pending[c], horizon), _RUN)] for c in active]
+        times = np.concatenate(firsts)
+        order = np.argsort(times, kind="stable")[:_RUN]  # class order breaks ties
+        segment = np.searchsorted(np.cumsum([len(f) for f in firsts]), order, side="right")
+        for c, k in zip(active, np.bincount(segment, minlength=len(active)).tolist()):
+            A[c] += pending[c][:k].tolist()
+            pending[c] = pending[c][k:]
+        return times[order].tolist() + [_INF], np.take(active, segment).tolist()
+
+    return merge
+
+
 # ---------------------------------------------------------------------------
 # selection rules
 
-def _selector(disc: DisciplineConfig, queues: list, draw):
+def _selector(disc: DisciplineConfig, A: list, head: list, tail: list, draw):
     """Build the discipline's selection rule once, before the event loop.
 
-    The rule is called with the current time when some job waits; it pops
-    exactly one job and returns (class, arrival, service).  It never reads
-    the service requirement of a job it does not choose (non-anticipative).
-    `queues[c]` holds class c's waiting (arrival, service) pairs in arrival
-    order; `draw` is the selection substream.
+    The rule is called with the current time when some job waits and
+    returns the class whose earliest waiting job is served next.  It reads
+    only arrival times, A[c][head[c]:tail[c]] (non-anticipative), and draws
+    from the selection substream `draw` only when two or more classes wait.
     """
-    n = len(queues)
+    n = len(A)
     if isinstance(disc, Strict):
-        ordered = [(c, queues[c]) for c in disc.order]
+        order = disc.order
 
         def select(now):
-            for c, q in ordered:
-                if q:
-                    a, s = q.popleft()
-                    return c, a, s
+            for c in order:
+                if head[c] < tail[c]:
+                    return c
         return select
 
     if isinstance(disc, DDP):
-        heads = list(zip(range(n), queues, disc.b))
+        heads = list(zip(range(n), A, disc.b))
 
         def select(now):
             # largest accrued priority (now - arrival) * b; ties to the earlier arrival
             bc = -1
-            for c, q, b in heads:
-                if q:
-                    a = q[0][0]
+            for c, Ac, b in heads:
+                h = head[c]
+                if h < tail[c]:
+                    a = Ac[h]
                     v = (now - a) * b
                     if bc < 0 or v > bv or (v == bv and a < ba):
                         bv, ba, bc = v, a, c
-            a, s = queues[bc].popleft()
-            return bc, a, s
+            return bc
         return select
 
     if isinstance(disc, RP):
-        p = disc.p
         if n == 2:
-            q0, q1 = queues
-            p0, p1 = p
+            p0, p1 = disc.p
 
             def select(now):
-                if q0 and q1:
-                    w0 = len(q0) * p0
-                    c = 0 if draw() * (w0 + len(q1) * p1) < w0 else 1
-                else:
-                    c = 0 if q0 else 1
-                a, s = queues[c].popleft()
-                return c, a, s
+                n0 = tail[0] - head[0]
+                n1 = tail[1] - head[1]
+                if n0 and n1:
+                    w0 = n0 * p0
+                    return 0 if draw() * (w0 + n1 * p1) < w0 else 1
+                return 0 if n0 else 1
             return select
 
+        weights = list(zip(range(n), disc.p))
+        acc = [0.0] * n
+
         def select(now):
-            # class c with probability proportional to (queue length) * p[c]
-            nonempty = [c for c in range(n) if queues[c]]
-            c = nonempty[-1]
-            if len(nonempty) > 1:
-                acc = list(accumulate([len(queues[cc]) * p[cc] for cc in nonempty]))
-                # the scaled draw may round up to the total, which picks the last class
-                c = nonempty[min(bisect_right(acc, draw() * acc[-1]), len(acc) - 1)]
-            a, s = queues[c].popleft()
-            return c, a, s
+            # class c with probability proportional to (queue length) * p[c]:
+            # running sums in class order (an empty class adds 0.0), then the
+            # first sum above the scaled draw
+            total = 0.0
+            busy = 0
+            for c, p in weights:
+                m = tail[c] - head[c]
+                if m:
+                    total += m * p
+                    busy += 1
+                    last = c
+                acc[c] = total
+            if busy > 1:
+                x = draw() * total
+                for c in range(last):
+                    if acc[c] > x:
+                        return c
+            # the scaled draw may round up to the total, which picks the last class
+            return last
         return select
 
     if isinstance(disc, PP):
-        q0, q1 = queues
         p0 = disc.p[0]
 
         def select(now):
             # poll queue 1 with probability p0; an empty queue is skipped, and
             # a queue that waits alone is served with probability 1
-            c = 0 if q0 and (not q1 or p0 >= 1.0 or (p0 > 0.0 and draw() < p0)) else 1
-            a, s = queues[c].popleft()
-            return c, a, s
+            q0, q1 = tail[0] - head[0], tail[1] - head[1]
+            return 0 if q0 and (not q1 or p0 >= 1.0 or (p0 > 0.0 and draw() < p0)) else 1
         return select
 
     if isinstance(disc, HOLPJ) and disc.dispatch == "jump":
-        return _holpj_jump(disc.D, queues)
+        return _holpj_jump(disc.D, A, head, tail)
 
     # GFCFS, EDD and HOL-PJ ordering are one rule: serve min(arrival + offset)
     offsets = disc.u if isinstance(disc, EDD) else disc.D if isinstance(disc, HOLPJ) else (0.0,) * n
-    heads = list(zip(range(n), queues, offsets))
+    heads = list(zip(range(n), A, offsets))
 
     def select(now):
         # smallest arrival + offset; ties to the earlier arrival
         bc = -1
-        for c, q, o in heads:
-            if q:
-                a = q[0][0]
+        for c, Ac, o in heads:
+            h = head[c]
+            if h < tail[c]:
+                a = Ac[h]
                 v = a + o
                 if bc < 0 or v < bv or (v == bv and a < ba):
                     bv, ba, bc = v, a, c
-        a, s = queues[bc].popleft()
-        return bc, a, s
+        return bc
     return select
 
 
-def _holpj_jump(D: tuple[float, ...], queues: list):
+def _holpj_jump(D: tuple[float, ...], A: list, head: list, tail: list):
     """HOL-PJ by its queue-jump mechanism, kept as the reference for the
-    ordering rule min(arrival + D).  queues[k] is priority level k, which
-    class-k jobs enter on arrival; a job moves up one level each time it has
-    waited D[k] - D[k-1] there, and the highest nonempty level is served.
-    A job that has jumped is held as (arrival, service, class, entry time
-    into its level)."""
-    jumps = [(k, queues[k], D[k] - D[k - 1]) for k in range(1, len(queues))]
-
-    def entry(job):
-        # a job enters its class's level on arrival
-        return job[3] if len(job) > 2 else job[0]
+    ordering rule min(arrival + D).  Priority level k holds class-k jobs
+    from their arrival; a job moves up one level each time it has waited
+    D[k] - D[k-1] there, and the front of the highest nonempty level is
+    served.  Level k is class k's waiting jobs that have not jumped,
+    A[k][head[k] + out[k]:tail[k]] (entry time = arrival), merged by entry
+    time with the jobs that jumped into it, held in up[k] as (entry, class)."""
+    n = len(D)
+    up = [deque() for _ in range(n)]
+    out = [0] * n  # class-k waiting jobs that have left level k
+    levels = list(zip(range(n), A, up))
+    jumps = [(k, A[k], up[k], D[k] - D[k - 1]) for k in range(1, n)]
 
     def select(now):
         # move every due jump, in chronological order of jump instants
         while True:
             due = None
-            for k, q, gap in jumps:
-                if q:
-                    d = entry(q[0]) + gap
-                    if d <= now and (due is None or d < due):
-                        due, lvl = d, k
+            for k, Ak, q, gap in jumps:
+                u = head[k] + out[k]
+                if q and (u == tail[k] or q[0][0] < Ak[u]):
+                    d, jumped = q[0][0] + gap, True
+                elif u < tail[k]:
+                    d, jumped = Ak[u] + gap, False
+                else:
+                    continue
+                if d <= now and (due is None or d < due):
+                    due, lvl, from_up = d, k, jumped
             if due is None:
                 break
-            job = queues[lvl].popleft()
-            target = queues[lvl - 1]
+            if from_up:
+                c = up[lvl].popleft()[1]
+            else:
+                c = lvl
+                out[lvl] += 1
+            target = up[lvl - 1]
             # merge by entry time so level order matches chronology
             idx = len(target)
-            while idx > 0 and entry(target[idx - 1]) > due:
+            while idx > 0 and target[idx - 1][0] > due:
                 idx -= 1
-            target.insert(idx, (job[0], job[1], job[2] if len(job) > 2 else lvl, due))
-        for k, q in enumerate(queues):
-            if q:
-                job = q.popleft()
-                return (job[2] if len(job) > 2 else k), job[0], job[1]
+            target.insert(idx, (due, c))
+        for k, Ak, q in levels:
+            u = head[k] + out[k]
+            if q and (u == tail[k] or q[0][0] < Ak[u]):
+                c = q.popleft()[1]
+                out[c] -= 1
+                return c
+            if u < tail[k]:
+                return k
     return select
 
 
@@ -326,59 +395,54 @@ def _replicate(
     warmup; `boundaries` collects (busy_start, busy_end) pairs."""
     n = model.n_classes
     children = rep_seed_seq.spawn(2 * n + 1)
-    arrivals = [
-        _stream(children[2 * i], lambda rng, k, m=1.0 / spec.lam: rng.exponential(m, k))
-        if spec.lam > 0 else None
-        for i, spec in enumerate(model.classes)
-    ]
-    services = [
-        _stream(children[2 * i + 1], _service_draw(spec.service))
-        for i, spec in enumerate(model.classes)
-    ]
-    queues = [deque() for _ in range(n)]
-    select = _selector(disc, queues, _stream(children[2 * n], lambda rng, k: rng.random(k)))
+    A, S = [[] for _ in range(n)], [[] for _ in range(n)]  # arrival times, services
+    head, tail = [0] * n, [0] * n  # class c waits as A[c][head[c]:tail[c]]
+    merge = _arrivals(model, children, A, S, head, tail)
+    rng = np.random.default_rng(children[2 * n])
+    draw = chain.from_iterable(rng.random(_CHUNK).tolist() for _ in repeat(None)).__next__
+    select = _selector(disc, A, head, tail, draw)
 
     total = warmup + measured
     sums = [0.0] * n
     counts = [0] * n
-    next_arr = [nxt() if nxt is not None else _INF for nxt in arrivals]
-    ta = min(next_arr)
-    ai = next_arr.index(ta)  # earliest pending arrival; ties to the lower class
-    two = n == 2
-    completion = _INF  # end of the current service; +inf while the server idles
-    n_waiting = 0
-    starts = 0
+    T, C = merge()  # arrival times, ending in +inf, and their classes
+    last = len(T) - 1
+    i = admitted = starts = 0  # admitted + i - starts jobs wait
+    completion = -_INF  # end of the current service
 
     while starts < total:
-        if ta < completion:
-            # arrival: joins its queue; an idle server is free for it at once (zero wait)
-            t = ta
-            queues[ai].append((t, services[ai]()))
-            next_arr[ai] = t + arrivals[ai]()
-            n_waiting += 1
-            if completion == _INF:
-                busy_start = completion = t
-            if two:
-                ai = 1 if next_arr[1] < next_arr[0] else 0
-            else:
-                ai = next_arr.index(min(next_arr))
-            ta = next_arr[ai]
-        elif n_waiting:
+        while T[i] < completion:
+            tail[C[i]] += 1
+            i += 1
+        if i == last:
+            admitted += last
+            T, C = merge()
+            last, i = len(T) - 1, 0
+            continue
+        if admitted + i > starts:
             t = completion
-            c, a, s = select(t)
-            n_waiting -= 1
-            w = t - a
-            if starts >= warmup:
-                sums[c] += w
-                counts[c] += 1
-            if trace is not None:
-                trace.append((t, c, a, w))
-            starts += 1
-            completion = t + s
+            c = select(t)
+            h = head[c]
+            head[c] = h + 1
+            a = A[c][h]
         else:
-            if boundaries is not None:
+            # the server idles until the next arrival, which starts at once
+            # without the selection rule
+            if starts and boundaries is not None:
                 boundaries.append((busy_start, completion))
-            completion = _INF
+            busy_start = t = a = T[i]
+            c = C[i]
+            i += 1
+            h = tail[c]
+            tail[c] = head[c] = h + 1
+        w = t - a
+        if starts >= warmup:
+            sums[c] += w
+            counts[c] += 1
+        if trace is not None:
+            trace.append((t, c, a, w))
+        starts += 1
+        completion = t + S[c][h]
 
     return sums, counts
 

@@ -140,6 +140,15 @@ class TestSimulate:
     def test_missing_discipline_flag_exit_4(self, model_path, argv):
         assert main(["simulate", "--config", model_path, "--jobs", "1000", *argv]) == 4
 
+    @pytest.mark.parametrize("argv", [
+        ["--discipline", "ddp", "--b", "1,nan"],
+        ["--discipline", "edd", "--u", "nan,0"],
+        ["--discipline", "holpj", "--u", "1,nan"],
+    ])
+    def test_non_finite_parameter_exit_4(self, model_path, argv):
+        assert main(["simulate", "--config", model_path, "--jobs", "1000",
+                     "--replications", "2", *argv]) == 4
+
     def test_ddp_beta_shorthand(self, model_path, tmp_path):
         outs = []
         for argv in (["--beta", "2.0"], ["--b", "1.0,2.0"], ["--beta", "inf"], ["--order", "1,0"]):

@@ -1,0 +1,127 @@
+"""Property tests of the paper's equivalences on random stable models.
+
+Each example draws a model with 2-5 classes (mixed service kinds, some
+classes possibly without arrivals) and a seed, and runs the simulator for
+a few thousand jobs.  Hypothesis runs derandomized and without an example
+database, so every run tries the same examples.
+"""
+
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mg1lab import (
+    DDP,
+    EDD,
+    GFCFS,
+    HOLPJ,
+    PP,
+    RP,
+    CustomerClassSpec,
+    ServiceDistribution,
+    SimConfig,
+    Strict,
+    SystemModel,
+    busy_period_boundaries,
+    run_sim,
+    service_start_sequence,
+)
+
+JOBS = 3_000
+PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def services(draw):
+    mean = draw(st.floats(0.5, 2.0))
+    kind = draw(st.sampled_from(["exponential", "deterministic", "erlang", "hyperexp2"]))
+    if kind == "exponential":
+        return ServiceDistribution.exponential(mean)
+    if kind == "deterministic":
+        return ServiceDistribution.deterministic(mean)
+    if kind == "erlang":
+        return ServiceDistribution.erlang(mean, draw(st.integers(2, 4)))
+    return ServiceDistribution.hyperexp2(mean, draw(st.floats(1.5, 8.0)))
+
+
+@st.composite
+def models(draw):
+    n = draw(st.integers(2, 5))
+    rho = draw(st.floats(0.2, 0.9))
+    weights = draw(
+        st.lists(st.one_of(st.just(0.0), st.floats(0.05, 1.0)), min_size=n, max_size=n)
+        .filter(lambda w: sum(w) > 0)
+    )
+    dists = [draw(services()) for _ in range(n)]
+    total = sum(weights)
+    return SystemModel(tuple(
+        CustomerClassSpec(rho * w / total / d.mean, d) for w, d in zip(weights, dists)
+    ))
+
+
+@st.composite
+def deadlines(draw, n):
+    gaps = draw(st.lists(st.floats(0.1, 3.0), min_size=n, max_size=n))
+    D, acc = [], 0.0
+    for g in gaps:
+        acc += g
+        D.append(acc)
+    return tuple(D)
+
+
+@st.composite
+def disciplines(draw, n):
+    rates = st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n).filter(any)
+    out = [
+        GFCFS(),
+        Strict(tuple(draw(st.permutations(range(n))))),
+        DDP(tuple(draw(rates))),
+        EDD(tuple(draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n)))),
+        RP(tuple(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))),
+        HOLPJ(draw(deadlines(n)), "jump"),
+        HOLPJ(draw(deadlines(n)), "order"),
+    ]
+    if n == 2:
+        out.append(PP((draw(st.floats(0.0, 1.0)), 1.0)))
+    return out
+
+
+@PROPERTY
+@given(st.data(), models(), seeds)
+def test_holpj_jump_equals_order(data, m, seed):
+    D = data.draw(deadlines(m.n_classes))
+    jump = service_start_sequence(m, HOLPJ(D, "jump"), JOBS, seed)
+    assert jump == service_start_sequence(m, HOLPJ(D, "order"), JOBS, seed)
+
+
+@PROPERTY
+@given(models(), seeds, st.floats(0.0, 5.0))
+def test_edd_equal_urgencies_equals_gfcfs(m, seed, u):
+    edd = service_start_sequence(m, EDD((u,) * m.n_classes), JOBS, seed)
+    assert edd == service_start_sequence(m, GFCFS(), JOBS, seed)
+
+
+@PROPERTY
+@given(st.data(), models(), seeds)
+def test_busy_periods_shared_across_disciplines(data, m, seed):
+    # common random numbers make the workload discipline-free; a busy period
+    # starts at an arrival, but its end sums the services in service order
+    ref = busy_period_boundaries(m, GFCFS(), JOBS, seed)
+    for disc in data.draw(disciplines(m.n_classes)):
+        other = busy_period_boundaries(m, disc, JOBS, seed)
+        assert len(other) == len(ref)
+        for (s0, e0), (s1, e1) in zip(ref, other):
+            assert s0 == s1
+            assert math.isclose(e0, e1, rel_tol=1e-12, abs_tol=1e-9)
+
+
+@PROPERTY
+@given(st.data(), models(), seeds)
+def test_run_sim_repeats_bit_identical(data, m, seed):
+    disc = data.draw(st.sampled_from(data.draw(disciplines(m.n_classes))))
+    cfg = SimConfig(seed=seed, measured_jobs=1_000, warmup_jobs=500, replications=2)
+    a, b = run_sim(m, disc, cfg), run_sim(m, disc, cfg)
+    assert (a.mean, a.ci_halfwidth_95, a.sample_count) == (b.mean, b.ci_halfwidth_95, b.sample_count)

@@ -70,6 +70,24 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             SimConfig(seed=1, replications=0)
 
+    @pytest.mark.parametrize("disc", [
+        DDP((1.0, math.nan)),
+        DDP((math.inf, 1.0)),
+        EDD((math.nan, 0.0)),
+        EDD((0.0, math.inf)),
+        HOLPJ((math.nan, 2.0)),
+        HOLPJ((1.0, math.nan)),
+        HOLPJ((1.0, math.inf)),
+    ])
+    def test_non_finite_parameters_rejected(self, disc):
+        # NaN passes `x < 0` and `D[i] >= D[i + 1]`; it must not pass validation
+        with pytest.raises(InvalidParameterError):
+            run_sim(model2(), disc, SimConfig(seed=1, measured_jobs=1000, replications=2))
+
+    def test_no_arrivals_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            service_start_sequence(model2(0.0, 0.0), GFCFS(), 1000, 1)
+
     def test_negative_warmup_rejected(self):
         with pytest.raises(InvalidParameterError):
             SimConfig(seed=1, warmup_jobs=-1)
@@ -277,3 +295,65 @@ GOLDEN = {
 @pytest.mark.parametrize("key", list(GOLDEN_CASES))
 def test_golden_digest(key):
     assert _golden_digest(*GOLDEN_CASES[key]) == GOLDEN[key]
+
+
+# ---------------------------------------------------------------------------
+# golden pins past the first 4096-draw chunk: the golden traces above stay
+# inside each class's first chunk of draws, so these cover the chunk refill
+# and the merge of the class arrival streams.  Recorded, like GOLDEN, before
+# the index-range rewrite of the event loop.
+
+def _digest(values):
+    values = [float(x) for x in values]
+    return hashlib.sha256(struct.pack(f"<{len(values)}d", *values)).hexdigest()
+
+
+def _flat(records):
+    return [x for rec in records for x in rec]
+
+
+N3_IDLE = SystemModel((
+    CustomerClassSpec(0.3, EXP1),
+    CustomerClassSpec(0.0, EXP1),
+    CustomerClassSpec(0.45, H2),
+))
+N3_IDLE_CFG = SimConfig(seed=77, measured_jobs=10_000, warmup_jobs=0, replications=3)
+N3_IDLE_DISCS = {
+    "gfcfs": GFCFS(),
+    "ddp": DDP((1.0, 2.0, 0.5)),
+    "rp": RP((0.2, 0.5, 0.3)),
+    "holpj-jump": HOLPJ((0.5, 1.5, 2.0), "jump"),
+}
+
+
+def _n3_idle_digest(disc):
+    values = _flat(service_start_sequence(N3_IDLE, disc, 30_000, 5))
+    values += _flat(busy_period_boundaries(N3_IDLE, disc, 30_000, 5))
+    est = run_sim(N3_IDLE, disc, N3_IDLE_CFG)
+    return _digest(values + list(est.mean + est.ci_halfwidth_95) + list(est.sample_count))
+
+
+PIN_CASES = {
+    "n2-h2-30k/rp": lambda: _digest(_flat(service_start_sequence(
+        GOLDEN_MODELS["n2-h2"], N2_DISCS["rp"], 30_000, 2024))),
+    "n2-h2-30k/edd": lambda: _digest(_flat(service_start_sequence(
+        GOLDEN_MODELS["n2-h2"], N2_DISCS["edd"], 30_000, 2024))),
+    "n2-h2-30k/busy": lambda: _digest(_flat(busy_period_boundaries(
+        GOLDEN_MODELS["n2-h2"], GFCFS(), 30_000, 2024))),
+    **{f"n3-idle/{k}": (lambda d=d: _n3_idle_digest(d)) for k, d in N3_IDLE_DISCS.items()},
+}
+
+PINS = {
+    "n2-h2-30k/rp": "8bd7481f47939d52615cf4eb9dfc60edf24892878b7a55aa1f3f2e7e36003386",
+    "n2-h2-30k/edd": "874c67ae469d0fff095c9a4ab43f06ca3bb7958afe618b6d7653a9e53c64d678",
+    "n2-h2-30k/busy": "ff88c01ea9fed9a1ade9c738939e65df1646a563a9b494136dbbef0b33726342",
+    "n3-idle/gfcfs": "7535266c78ce4f7e99e429f857b2958f102e3a2e7a7f839f7960f946c6cdcda5",
+    "n3-idle/ddp": "9228d7cd46fd4d0dc8a08142fe46bb6cce92c28c0b51e602c6023a2c9ac94d85",
+    "n3-idle/rp": "09c9ed0eb3a1a2781cefb745778173a5b5cdddb0dbfb91702d2d9dbe3dbd139c",
+    "n3-idle/holpj-jump": "d505e438d536dea52c1802e245847f89968f0480230169864fef59c8cce97202",
+}
+
+
+@pytest.mark.parametrize("key", list(PIN_CASES))
+def test_golden_pin(key):
+    assert PIN_CASES[key]() == PINS[key]
