@@ -430,8 +430,12 @@ def _cloud_certify(cfg: CloudConfig, p1: float, r_best: float) -> tuple[float, i
     """Re-solve the demand fixed point on a 21 x 21 price grid at weight p1
     and return (the largest revenue above r_best among the converged,
     SLA-feasible points, or 0; the number of points whose fixed point hit
-    the iteration cap).  Each point iterates with damping 0.5 until a step
-    moves its rates by less than 1e-10, for at most 1000 steps."""
+    the iteration cap).  Each point moves its rates a damping fraction
+    toward their demand until the demand is within 1e-10 of them, for at
+    most 1000 steps; the damping starts at 0.3 and halves whenever that
+    residual does not shrink, so an oscillating point is damped until it
+    contracts.  Where no fixed point exists the residual never falls to
+    1e-10 and the point is counted."""
     s = 1.0 / cfg.mu
     s2 = (1.0 + cfg.scv) * s * s
     n = 21
@@ -452,12 +456,16 @@ def _cloud_certify(cfg: CloudConfig, p1: float, r_best: float) -> tuple[float, i
 
     l1, l2 = np.minimum(cap[0], 0.45 * cfg.mu), np.minimum(cap[1], 0.45 * cfg.mu)
     running = np.ones((n, n), dtype=bool)
+    damping = np.full((n, n), 0.3)
+    last = np.full((n, n), _INF)
     for _ in range(1000):
         w1, w2 = waits(l1, l2)
         n1, n2 = demand(0, w1), demand(1, w2)
         step = np.maximum(np.abs(n1 - l1), np.abs(n2 - l2))
-        l1 = np.where(running, 0.5 * (l1 + n1), l1)
-        l2 = np.where(running, 0.5 * (l2 + n2), l2)
+        damping = np.where(step < last, damping, 0.5 * damping)
+        last = step
+        l1 = np.where(running, l1 + damping * (n1 - l1), l1)
+        l2 = np.where(running, l2 + damping * (n2 - l2), l2)
         running &= ~(step < 1e-10)
         if not running.any():
             break
@@ -584,73 +592,92 @@ def joint_pricing_T1(cfg: JointPricingConfig, grid: int = 200) -> ControlSolutio
     """Maximize the secondary-class revenue (a*l - l^2 - c*l*W_s(l, p))/b
     over the admitted rate l and the primary priority weight p, subject to
     the primary service level W_p <= S_p and stability l <= mu - lambda_p.
-    Grid search with alternating golden-section refinement."""
+
+    The search runs over l alone.  At a fixed l the conservation law
+    rho_p*W_p + rho_s*W_s = rho*W0/(1 - rho) makes W_s fall as W_p rises,
+    so the best weight puts W_p at min(S_p, W_p at p = 0), the nearer end
+    of the achievable segment to the SLA (with c = 0 every feasible weight
+    earns the same, and this one quotes the secondary its lowest wait).  A
+    rate is feasible iff W_p at p = 1, W0/(1 - rho_p), is within S_p:
+    l <= 2*S_p*(1 - rho_p)/E[S^2] - lambda_p, clipped to mu - lambda_p.
+    The reduced objective is concave in l: a `grid`-point scan over the
+    feasible rates, golden-section refinement, then p from the closed-form
+    inverse of W_p(l, p) = target, raised where rounding leaves W_p above
+    S_p.  Delay-blind demand (c = 0, no SLA) takes the vertex a/2 clipped
+    to the stable range, with p = 0."""
     s = 1.0 / cfg.mu
     s2 = cfg.sigma2 + s * s
     ls_max = cfg.mu - cfg.lambda_p
     delay_blind = cfg.c == 0.0 and not math.isfinite(cfg.S_p)
 
-    w_p0 = 0.5 * cfg.lambda_p * s2 / (1.0 - cfg.lambda_p * s)
+    lam_p = cfg.lambda_p
+    r_p = lam_p * s
+    w_p0 = 0.5 * lam_p * s2 / (1.0 - r_p)
     if cfg.S_p < w_p0 - 1e-12:
         raise InfeasibleError(
             f"S_p={cfg.S_p:.6g} is below the primary wait {w_p0:.6g} with no secondary traffic"
         )
 
-    lam_p = cfg.lambda_p
-    r_p = lam_p * s
-
     def waits(ls, p):
         # (primary, secondary) RP waits at secondary rate ls
         return rp2_kernel(r_p, ls * s, 0.5 * (lam_p + ls) * s2, p)
 
-    def obj(ls, p):
-        if ls < 0.0 or ls > ls_max:
+    def segment(ls):
+        # (rho, W0, the primary wait at p = 0; +inf where rp2_kernel finds
+        # the load unstable) at secondary rate ls
+        rho = r_p + ls * s
+        w0 = 0.5 * (lam_p + ls) * s2
+        if rho >= 1.0 - 1e-9:
+            return rho, w0, _INF
+        return rho, w0, w0 / ((1.0 - rho) * (1.0 - ls * s))
+
+    def reduced(ls):
+        # the objective at the best feasible weight, W_p = min(S_p, W_p at
+        # p = 0).  By the conservation law ls*W_s is the secondary's strict-
+        # priority delay ls*W0/(1 - rho_s) plus lambda_p times the part of
+        # the primary's p = 0 wait the SLA takes back; this form has no
+        # cancellation of large terms near rho = 1
+        _, w0, w_top = segment(ls)
+        if w_top == _INF:
             return -_INF
-        if delay_blind:
-            return (cfg.a * ls - ls * ls) / cfg.b
-        w_pri, w_sec = waits(ls, p)
-        if w_pri > cfg.S_p + 1e-12:
-            return -_INF
-        if ls > 0.0 and not math.isfinite(w_sec):
-            return -_INF
-        return (cfg.a * ls - ls * ls - cfg.c * ls * (0.0 if ls == 0.0 else w_sec)) / cfg.b
+        ls_ws = ls * w0 / (1.0 - ls * s) + lam_p * max(w_top - cfg.S_p, 0.0)
+        return (cfg.a * ls - ls * ls - cfg.c * ls_ws) / cfg.b
 
-    def ls_upper(p):
-        # largest admissible rate under the service-level cap; the primary
-        # wait is increasing in the secondary rate, so bisect on it
-        if delay_blind or not math.isfinite(cfg.S_p):
-            return ls_max
-        def excess(ls):
-            w_pri, _ = waits(ls, p)
-            return min(w_pri, 1e18) - cfg.S_p
-        if excess(ls_max) <= 0.0:
-            return ls_max
-        if excess(0.0) >= 0.0:
-            return 0.0
-        from scipy.optimize import brentq
+    if delay_blind:
+        # exactly quadratic: vertex at a/2, clipped to the stable range
+        ls_star = min(max(cfg.a / 2.0, 0.0), ls_max)
+    else:
+        ls_hi = min(max(2.0 * cfg.S_p * (1.0 - r_p) / s2 - lam_p, 0.0), ls_max)
+        # rounding can leave the closed form just past the SLA (by many ulps
+        # of ls_hi when the SLA is barely above the wait at ls = 0), so back
+        # off in doubling steps; W_p at p = 1 is nondecreasing in the rate,
+        # so every rate below ls_hi is then feasible
+        step = math.ulp(ls_hi)
+        while ls_hi > 0.0 and cfg.S_p < waits(ls_hi, 1.0)[0] < _INF:
+            ls_hi = max(ls_hi - step, 0.0)
+            step *= 2.0
+        l_grid = np.linspace(0.0, ls_hi, grid).tolist()
+        k = int(np.argmax([reduced(x) for x in l_grid]))
+        ls_star, _ = _golden_max(reduced, l_grid[max(k - 1, 0)], l_grid[min(k + 1, grid - 1)], 1e-12)
 
-        return brentq(excess, 0.0, ls_max, xtol=1e-14)
-
-    def best_at_p(p):
-        # the objective is concave in the rate on the feasible interval
-        if delay_blind:
-            # exactly quadratic: vertex at a/2, clipped to the stable range
-            x = min(max(cfg.a / 2.0, 0.0), ls_max)
-            return x, obj(x, p)
-        return _golden_max(lambda x: obj(x, p), 0.0, ls_upper(p), 1e-12)
-
-    p_grid = np.linspace(0.0, 1.0, grid).tolist()
-    values = [best_at_p(p)[1] for p in p_grid]
-    k = int(np.argmax(values))
-    lo = p_grid[max(k - 1, 0)]
-    hi = p_grid[min(k + 1, grid - 1)]
-    p_star, _ = _golden_max(lambda p: best_at_p(p)[1], lo, hi, 1e-10)
-    ls_star, v_star = best_at_p(p_star)
-    if v_star == -_INF:
-        raise InfeasibleError("no feasible (rate, priority) point")
+    rho, w0, w_top = segment(ls_star)
+    p_star = 0.0
+    if cfg.S_p < w_top:
+        # W_p(l, p) = (1 - rho*p)*W0 / ((1 - rho)*(1 - r_s + p*(r_s - r_p)))
+        r_s, cap = ls_star * s, cfg.S_p
+        p_star = (w0 - cap * (1.0 - rho) * (1.0 - r_s)) / (rho * w0 + cap * (1.0 - rho) * (r_s - r_p))
+        p_star = min(max(p_star, 0.0), 1.0)
+        step = 2.0 ** -52
+        while p_star < 1.0 and waits(ls_star, p_star)[0] > cap:
+            p_star = min(1.0, p_star + step)
+            step *= 2.0
 
     w_pri, w_sec = waits(ls_star, p_star)
-    theta = (cfg.a - ls_star - (cfg.c * w_sec if math.isfinite(w_sec) else 0.0)) / cfg.b
+    delay = cfg.c * w_sec if cfg.c else 0.0  # c = 0 ignores even an infinite wait
+    v_star = (cfg.a * ls_star - ls_star * ls_star - ls_star * delay) / cfg.b
+    if not math.isfinite(v_star):
+        raise InfeasibleError("no feasible (rate, priority) point")
+    theta = (cfg.a - ls_star - delay) / cfg.b
     active = []
     if math.isfinite(cfg.S_p) and w_pri > cfg.S_p - 1e-6:
         active.append("S_p")

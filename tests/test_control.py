@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mg1lab import (
     CloudConfig,
@@ -24,10 +26,12 @@ from mg1lab import (
     pp_param_for_utility_approx,
     pp2_waits_approx,
     rp_param_for_utility,
+    rp2_kernel,
     rp2_waits,
     segment_point,
     tail_prob_approx,
 )
+from mg1lab.control import _cloud_certify
 from mg1lab.errors import InfeasibleError, InvalidParameterError
 
 DET1 = ServiceDistribution.deterministic(1.0)
@@ -296,6 +300,56 @@ class TestCloudEquilibrium:
         assert sol.diagnostics["certification_margin"] <= 1e-6
         assert sol.diagnostics["certification_unconverged"] >= 0
 
+    @pytest.mark.parametrize("p1", [0.0, 0.25, 0.5, 0.75, 1.0])
+    def test_certification_converges_where_a_fixed_point_exists(self, p1):
+        for cfg in (
+            CloudConfig(mu=1.0, scv=1.0, a=(0.8, 0.8), b=(1.5, 1.5), c=(0.2, 0.2), T=(5.0, 5.0)),
+            CloudConfig(mu=1.0, scv=1.0, a=(1.0, 0.6), b=(2.0, 1.0), c=(0.5, 0.1), T=(0.4, 8.0)),
+        ):
+            assert _cloud_certify(cfg, p1, 0.0)[1] == 0
+
+    def test_certification_counts_points_without_fixed_point(self):
+        # with class 2 served first its wait stays bounded as the load nears
+        # 1, then turns infinite at load 1, where its demand drops to 0; at
+        # prices low enough for class 1's wait-blind demand to push the load
+        # there no rates are a fixed point, and the count must say so
+        cfg = CloudConfig(mu=1.0, scv=1.0, a=(0.8, 0.8), b=(1.5, 1.5), c=(0.0, 0.3))
+        assert _cloud_certify(cfg, 0.0, 0.0)[1] > 0
+
+
+def _joint_grid_max(cfg, n=400):
+    """Largest revenue on an n x n grid of (secondary rate, weight) that
+    keeps W_p <= S_p, with the two-class RP waits written out."""
+    s = 1.0 / cfg.mu
+    s2 = cfg.sigma2 + s * s
+    ls = np.linspace(0.0, cfg.mu - cfg.lambda_p, n).reshape(-1, 1)
+    p = np.linspace(0.0, 1.0, n).reshape(1, -1)
+    r1, r2 = cfg.lambda_p * s, ls * s
+    rho = r1 + r2
+    w0 = 0.5 * (cfg.lambda_p + ls) * s2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        den = (1.0 - r1 - (1.0 - p) * r2) * (1.0 - r2 - p * r1) - p * (1.0 - p) * r1 * r2
+        w_pri = np.where(rho < 1.0 - 1e-9, (1.0 - rho * p) * w0 / den, np.inf)
+        w_sec = np.where(rho < 1.0 - 1e-9, (1.0 - rho * (1.0 - p)) * w0 / den, np.inf)
+        delay = cfg.c * ls * np.where(ls > 0, w_sec, 0.0) if cfg.c else 0.0
+        obj = (cfg.a * ls - ls**2 - delay) / cfg.b
+    return float(np.max(np.where(np.isfinite(obj) & (w_pri <= cfg.S_p + 1e-12), obj, -np.inf)))
+
+
+@st.composite
+def joint_configs(draw):
+    """Feasible joint-pricing problems: finite and infinite S_p, c = 0 and
+    c > 0, loads from light to heavy."""
+    mu = draw(st.floats(0.5, 2.0))
+    lam_p = mu * draw(st.floats(0.05, 0.9))
+    sigma2 = draw(st.floats(0.0, 3.0)) / (mu * mu)
+    s = 1.0 / mu
+    w_p0 = 0.5 * lam_p * (sigma2 + s * s) / (1.0 - lam_p * s)
+    S_p = draw(st.one_of(st.just(math.inf), st.floats(0.0, 5.0).map(lambda x: w_p0 * (1.0 + x))))
+    c = draw(st.one_of(st.just(0.0), st.floats(0.01, 3.0)))
+    return JointPricingConfig(lam_p, mu, sigma2, S_p, mu * draw(st.floats(0.0, 3.0)),
+                              draw(st.floats(0.3, 3.0)), c)
+
 
 class TestJointPricing:
     def test_no_demand_no_revenue(self):
@@ -325,4 +379,51 @@ class TestJointPricing:
         sol = joint_pricing_T1(cfg)
         # demand identity: lambda_s = a - b*theta - c*S_s
         implied = cfg.a - cfg.b * sol.params["theta"] - cfg.c * sol.params["S_s"]
+        assert implied == pytest.approx(sol.params["lambda_s"], abs=1e-9)
+
+    def test_c0_optimum_at_sla_rate_cap_with_full_priority(self):
+        # W_p at p = 1 is W0/(1 - rho_p) = (0.3 + l)/0.7, so the SLA admits
+        # l <= 0.4, below the stability cap 0.7 and the vertex a/2 = 1
+        cfg = JointPricingConfig(0.3, 1.0, 1.0, 1.0, 2.0, 1.0, 0.0)
+        sol = joint_pricing_T1(cfg)
+        assert sol.params["lambda_s"] == pytest.approx(0.4, abs=1e-12)
+        assert sol.params["p1"] == 1.0
+        assert sol.objective == pytest.approx(0.64, abs=1e-12)
+        assert sol.diagnostics["W_p"] <= cfg.S_p
+        assert sol.active_constraints == ("S_p",)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (0.3, 1.0, 1.0, 0.7, 2.0, 1.0, 1.0),
+            (0.5, 1.0, 0.5, 3.0, 1.5, 0.8, 0.4),
+            (0.2, 2.0, 0.1, math.inf, 3.0, 1.0, 2.0),
+            (0.4, 1.0, 1.0, 1.2, 1.0, 1.0, 0.0),
+        ],
+        ids=["interior-weight", "sla-meets-p0-end", "no-sla", "c0-rate-cap"],
+    )
+    def test_weight_optimal_on_segment(self, args):
+        # at the returned rate no weight on a fine grid does better while
+        # keeping the primary service level
+        cfg = JointPricingConfig(*args)
+        sol = joint_pricing_T1(cfg)
+        ls = sol.params["lambda_s"]
+        s = 1.0 / cfg.mu
+        s2 = cfg.sigma2 + s * s
+        p = np.linspace(0.0, 1.0, 1001)
+        w_pri, w_sec = rp2_kernel(cfg.lambda_p * s, ls * s, 0.5 * (cfg.lambda_p + ls) * s2, p)
+        obj = (cfg.a * ls - ls * ls - cfg.c * ls * w_sec) / cfg.b
+        best = float(np.max(np.where(w_pri <= cfg.S_p, obj, -np.inf)))
+        assert sol.objective >= best - 1e-12 * max(1.0, abs(best))
+        assert sol.diagnostics["W_p"] <= cfg.S_p
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(joint_configs())
+    def test_dominates_grid_and_keeps_sla(self, cfg):
+        sol = joint_pricing_T1(cfg)
+        assert sol.objective >= _joint_grid_max(cfg) - 1e-6
+        assert sol.diagnostics["W_p"] <= cfg.S_p + 1e-12
+        # demand identity: lambda_s = a - b*theta - c*S_s (c = 0 ignores S_s)
+        delay = cfg.c * sol.params["S_s"] if cfg.c else 0.0
+        implied = cfg.a - cfg.b * sol.params["theta"] - delay
         assert implied == pytest.approx(sol.params["lambda_s"], abs=1e-9)
