@@ -29,6 +29,7 @@ from .analytic import (
     pp2_waits_approx,
     rp_waits,
     rp2_kernel,
+    rp2_min_weight,
     rp2_waits,
 )
 from .mappings import (
@@ -86,7 +87,7 @@ __all__ = [
     "WaitVector", "achievable_segment", "conservation_residual", "gfcfs_wait",
     "segment_point", "strict_priority_waits_2class", "wait_bounds",
     "ddp_waits", "ddp2_waits", "edd2_waits_from_integral", "expected_clearing_time",
-    "pp2_waits_approx", "rp_waits", "rp2_kernel", "rp2_waits",
+    "pp2_waits_approx", "rp_waits", "rp2_kernel", "rp2_min_weight", "rp2_waits",
     "SCHEMES", "SIMULATED_SCHEMES", "SchemeParameter", "SegmentTarget",
     "achieve_target", "alpha_from_p1", "beta_from_integral", "beta_from_p1",
     "integral_from_beta", "p1_from_alpha", "p1_from_beta",

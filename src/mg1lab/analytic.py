@@ -10,7 +10,7 @@ for the caller to inspect rather than hidden.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -131,26 +131,55 @@ def rp2_kernel(r1, r2, w0, p1):
 
     Takes floats or arrays that broadcast together; floats stay in plain
     Python arithmetic.  Where the total load r1 + r2 is within 1e-9 of 1
-    or above, both waits are +inf.
+    or above, both waits are +inf.  Every factor is 1 - rho or a sum of
+    nonnegative terms, so none is formed by cancellation near rho = 1.
     """
     rho = r1 + r2
     p2 = 1.0 - p1
-    den = (1.0 - r1 - p2 * r2) * (1.0 - r2 - p1 * r1) - p1 * p2 * r1 * r2
+    den = (1.0 - rho) * (p1 * (1.0 - r1) + p2 * (1.0 - r2))
     if isinstance(rho, np.ndarray) or isinstance(p1, np.ndarray):
         stable = rho < 1.0 - 1e-9
         with np.errstate(divide="ignore", invalid="ignore"):
-            return (np.where(stable, (1.0 - rho * p1) * w0 / den, math.inf),
-                    np.where(stable, (1.0 - rho * p2) * w0 / den, math.inf))
+            return (np.where(stable, (1.0 - rho + rho * p2) * w0 / den, math.inf),
+                    np.where(stable, (1.0 - rho + rho * p1) * w0 / den, math.inf))
     if rho >= 1.0 - 1e-9:
         return math.inf, math.inf
-    return (1.0 - rho * p1) * w0 / den, (1.0 - rho * p2) * w0 / den
+    return (1.0 - rho + rho * p2) * w0 / den, (1.0 - rho + rho * p1) * w0 / den
+
+
+def rp2_min_weight(r1: float, r2: float, w0: float, cap: float, klass: int) -> Optional[float]:
+    """Unvalidated: the smallest weight q of class `klass` (0 or 1) whose
+    :func:`rp2_kernel` wait, at p1 = q for klass 0 and 1 - q for klass 1, is
+    within `cap`; None when even q = 1 misses it (an unstable load included).
+
+    W_k(q) = (1 - rho*q)*W0 / ((1 - rho)*(1 - r_o + q*(r_o - r_k))), with r_o
+    the other class's load, falls in q, so q comes in closed form, raised in
+    doubling steps from 2**-52 while rounding leaves the wait above the cap.
+    """
+    r_k, r_o = (r1, r2) if klass == 0 else (r2, r1)
+
+    def wait(q):
+        return rp2_kernel(r1, r2, w0, q if klass == 0 else 1.0 - q)[klass]
+
+    if wait(0.0) <= cap:
+        return 0.0
+    if wait(1.0) > cap:
+        return None
+    rho = r1 + r2
+    q = (w0 - cap * (1.0 - rho) * (1.0 - r_o)) / (rho * w0 + cap * (1.0 - rho) * (r_o - r_k))
+    q = min(q, 1.0) if q > 0.0 else 0.0
+    step = 2.0 ** -52
+    while wait(q) > cap:
+        q = min(1.0, q + step)
+        step *= 2.0
+    return q
 
 
 def rp2_waits(model: SystemModel, p1: float) -> WaitVector:
     """2-class relative-priority closed form; p1 in [0, 1] with p2 = 1 - p1.
 
     The endpoints p1 = 1 and p1 = 0 reproduce the strict-priority vectors
-    exactly.
+    to rounding.
     """
     model.require_two_classes()
     if not (0.0 <= p1 <= 1.0):

@@ -11,6 +11,7 @@ numerically and certified against dense grids.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -22,10 +23,9 @@ from .core import (
     SystemModel,
     gfcfs_wait,
     json_dumps,
-    strict_priority_waits_2class,
-    segment_point,
+    wait_bounds,
 )
-from .analytic import rp2_kernel, rp2_waits
+from .analytic import rp2_kernel, rp2_min_weight, rp2_waits
 from .errors import InfeasibleError, InvalidParameterError
 
 _INF = math.inf
@@ -62,43 +62,50 @@ class ControlSolution:
 # ---------------------------------------------------------------------------
 # small numeric helpers
 
-def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximization on [lo, hi]; returns (x, f(x)).  Endpoint
-    values are checked so boundary optima are never missed."""
+def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -> tuple[float, float, int]:
+    """Golden-section maximization on [lo, hi]; returns (x, f(x), calls to
+    f).  Endpoint values are checked so boundary optima are never missed."""
+    calls = 0
+
+    def g(x):
+        nonlocal calls
+        calls += 1
+        return f(x)
+
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
+    f1, f2 = g(x1), g(x2)
     while b - a > tol:
         if f1 >= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - invphi * (b - a)
-            f1 = f(x1)
+            f1 = g(x1)
         else:
             a, x1, f1 = x1, x2, f2
             x2 = a + invphi * (b - a)
-            f2 = f(x2)
+            f2 = g(x2)
     xm = 0.5 * (a + b)
-    fm = f(xm)
+    fm = g(xm)
     if not math.isfinite(fm):
         # a maximum on the edge of a rejected (-inf) region can leave the
         # final midpoint just outside it; keep the better interior probe
         xm, fm = (x1, f1) if f1 >= f2 else (x2, f2)
-    candidates = [(xm, fm), (lo, f(lo)), (hi, f(hi))]
+    candidates = [(xm, fm), (lo, g(lo)), (hi, g(hi))]
     # parabolic polish: golden-section alone resolves a smooth interior
     # maximum only to about sqrt(machine epsilon); one wide-stencil parabola
     # fit recovers the vertex of a locally quadratic objective exactly
     h = 1e-5 * (hi - lo)
     if h > 0.0 and lo <= xm - h and xm + h <= hi:
-        f0, f2 = f(xm - h), f(xm + h)
+        f0, f2 = g(xm - h), g(xm + h)
         if all(map(math.isfinite, (f0, fm, f2))):
             curve = f0 - 2.0 * fm + f2
             if curve < 0.0:
                 xv = xm + 0.5 * h * (f0 - f2) / curve
                 xv = min(max(xv, lo), hi)
-                candidates.append((xv, f(xv)))
-    return max(candidates, key=lambda t: t[1])
+                candidates.append((xv, g(xv)))
+    return (*max(candidates, key=lambda t: t[1]), calls)
 
 
 # ---------------------------------------------------------------------------
@@ -158,34 +165,19 @@ def tail_prob_approx(rho: float, mean_wait: float, x: float) -> float:
     return min(1.0, max(0.0, rho * math.exp(-rho * x / mean_wait)))
 
 
-def _class1_wait_range(model: SystemModel) -> tuple[float, float]:
-    lo = strict_priority_waits_2class(model, 0)[0]
-    hi = strict_priority_waits_2class(model, 1)[0]
-    return lo, hi
-
-
-def _partner_wait(model: SystemModel, w1: float) -> float:
-    r1, r2 = model.rho_per_class
-    return (model.rho * gfcfs_wait(model) - r1 * w1) / r2
-
-
 def rp_param_for_utility(cfg: NetworkUtilityConfig) -> ControlSolution:
     """Relative-priority weight p1 maximizing the network utility; the
     dynamic case pins the class-1 mean wait to K, the static cases hand
     class 2 strict priority."""
     model = cfg.model
-    r1, r2 = model.rho_per_class
-    rho, w0 = model.rho, model.w0
-    K = network_K(rho, cfg.d, cfg.b)
-    lo, hi = _class1_wait_range(model)
+    K = network_K(model.rho, cfg.d, cfg.b)
+    lo, hi = wait_bounds(model)[0]
     if not lo <= K <= hi:
         case = "deadline-slack" if K > hi else "deadline-unmeetable"
         return ControlSolution(case, {"p1": 0.0}, diagnostics={"K": K})
-    L = math.log(rho / cfg.b)
-    num = L * w0 - rho * (cfg.d - 1.0) * (1.0 - r2) * (1.0 - rho)
-    den = rho * L * w0 + rho * (cfg.d - 1.0) * (r2 * (1.0 - r2) - r1 * (1.0 - r1))
-    p1 = num / den
-    return ControlSolution("dynamic", {"p1": p1}, diagnostics={"K": K})
+    # None only where rounding leaves the strict-priority wait above K = lo
+    p1 = rp2_min_weight(*model.rho_per_class, model.w0, K, 0)
+    return ControlSolution("dynamic", {"p1": 1.0 if p1 is None else p1}, diagnostics={"K": K})
 
 
 def pp_param_for_utility_approx(cfg: NetworkUtilityConfig) -> ControlSolution:
@@ -195,7 +187,7 @@ def pp_param_for_utility_approx(cfg: NetworkUtilityConfig) -> ControlSolution:
     r1, r2 = model.rho_per_class
     rho, w0 = model.rho, model.w0
     K = network_K(rho, cfg.d, cfg.b)
-    lo, hi = _class1_wait_range(model)
+    lo, hi = wait_bounds(model)[0]
     if not lo <= K <= hi:
         case = "deadline-slack" if K > hi else "deadline-unmeetable"
         return ControlSolution(case, {"omega1": 0.0}, diagnostics={"K": K})
@@ -214,7 +206,7 @@ def network_optimal_utility(cfg: NetworkUtilityConfig) -> ControlSolution:
     model = cfg.model
     r1, r2 = model.rho_per_class
     K = network_K(model.rho, cfg.d, cfg.b)
-    lo, hi = _class1_wait_range(model)
+    lo, hi = wait_bounds(model)[0]
     w2_strict = model.w0 / (1.0 - r2)
     if K > hi:
         util = cfg.v1 + cfg.v3 - cfg.v4 * (1.0 + w2_strict)
@@ -224,7 +216,7 @@ def network_optimal_utility(cfg: NetworkUtilityConfig) -> ControlSolution:
         util = cfg.v3 - cfg.v2 - cfg.v4 * (1.0 + w2_strict)
         return ControlSolution("deadline-unmeetable", {"w1": hi}, objective=util,
                                diagnostics={"K": K})
-    w2 = _partner_wait(model, K)
+    w2 = (model.rho * gfcfs_wait(model) - r1 * K) / r2  # the conservation law
     util = cfg.v1 + cfg.v3 - cfg.v4 * (1.0 + w2)
     return ControlSolution("dynamic", {"w1": K}, objective=util,
                            diagnostics={"K": K, "w2": w2})
@@ -338,49 +330,40 @@ def hpc_utility_opt(cfg: HpcConfig) -> ControlSolution:
     i = int(np.argmax(util(grid)))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
-    p_star, u_star = _golden_max(util, lo, hi, 1e-12)
+    p_star, u_star, calls = _golden_max(util, lo, hi, 1e-12)
     return ControlSolution(
         "interior" if 0.0 < p_star < 1.0 else "boundary",
         {"p1": p_star, "theta": theta(p_star)},
         objective=u_star,
-        diagnostics={"grid_points": len(grid)},
+        diagnostics={"grid_points": len(grid), "evaluations": len(grid) + calls},
     )
 
 
 def hpc_revenue_constrained(cfg: HpcConfig) -> ControlSolution:
     """Maximize the prime revenue theta*lambda_P subject to the regular
     service level W_R(p) <= S_R.  Revenue rises and W_R worsens as p grows,
-    so the optimum sits at p = 1 or on the constraint boundary."""
+    so the optimum is the largest p meeting S_R (p = 0 where S_R is below
+    W_R(0) by no more than the 1e-12 tolerance)."""
     if cfg.S_R is None:
         raise InvalidParameterError("S_R is required for the constrained problem")
     model = cfg.model()
     r1, r2 = model.rho_per_class
-    w0 = model.w0
-
-    def w_reg(p):
-        return rp2_kernel(r1, r2, w0, p)[1]
-
-    def theta(p):
-        return cfg.a - cfg.b * rp2_kernel(r1, r2, w0, p)[0]
-
-    w_min, w_max = w_reg(0.0), w_reg(1.0)
+    w_min = rp2_kernel(r1, r2, model.w0, 0.0)[1]
     if cfg.S_R < w_min - 1e-12:
         raise InfeasibleError(
             f"S_R={cfg.S_R:.6g} is below the minimum regular-class wait {w_min:.6g}"
         )
-    if cfg.S_R >= w_max:
-        p_star, active = 1.0, ()
-    else:
-        from scipy.optimize import brentq  # scipy loads only when a root is needed
-
-        p_star = brentq(lambda p: w_reg(p) - cfg.S_R, 0.0, 1.0, xtol=1e-14)
-        active = ("S_R",)
+    q = rp2_min_weight(r1, r2, model.w0, cfg.S_R, 1)
+    p_star = 0.0 if q is None else 1.0 - q
+    active = () if q == 0.0 else ("S_R",)
+    w_p, w_r = rp2_kernel(r1, r2, model.w0, p_star)
+    theta = cfg.a - cfg.b * w_p
     return ControlSolution(
         "constrained" if active else "slack",
-        {"p1": p_star, "theta": theta(p_star)},
-        objective=theta(p_star) * cfg.lambda_P,
+        {"p1": p_star, "theta": theta},
+        objective=theta * cfg.lambda_P,
         active_constraints=active,
-        diagnostics={"W_R": w_reg(p_star)},
+        diagnostics={"W_R": w_r},
     )
 
 
@@ -475,7 +458,7 @@ def _cloud_certify(cfg: CloudConfig, p1: float, r_best: float) -> tuple[float, i
     return max(0.0, float(gain.max())), int(running.sum())
 
 
-def cloud_revenue_opt(cfg: CloudConfig, p_grid: int = 41, theta_tol: float = 1e-7) -> ControlSolution:
+def cloud_revenue_opt(cfg: CloudConfig, p_grid: Optional[int] = None, theta_tol: float = 1e-7) -> ControlSolution:
     """Maximize theta1*l1 + theta2*l2 over prices and the priority weight.
 
     The search runs over the arrival rates (l1, l2) and recovers each price
@@ -483,10 +466,18 @@ def cloud_revenue_opt(cfg: CloudConfig, p_grid: int = 41, theta_tol: float = 1e-
     wait at those rates, so every candidate is an exact demand equilibrium
     at one closed-form wait evaluation.  Rates whose price would leave
     [0, a_i/b_i], or whose wait breaks its SLA cap T_i, are rejected.
-    Nested golden-section over the two rates, a grid plus golden
-    refinement over p.  theta_tol bounds the final bracket of each rate
-    search to theta_tol*b_i, a price resolution of theta_tol in the
-    delay-free part of the inverse demand.
+    Nested golden-section over the two rates; theta_tol bounds the final
+    bracket of each rate search to theta_tol*b_i, a price resolution of
+    theta_tol in the delay-free part of the inverse demand.  `evaluations`
+    counts the rate pairs scored.
+
+    The weight needs no search (the paper's c/rho argument): at fixed rates
+    the revenue moves along the achievable segment with slope
+    l1*(c2/b2 - c1/b1) in W1, so the best p1 is the end of the interval of
+    weights keeping each W_i within min(T_i, (a_i - l_i)/c_i) that has the
+    lower W1 when c1/b1 > c2/b2, and otherwise (the revenue flat in p1
+    included) the end with the higher W1, both from :func:`rp2_min_weight`.
+    `p_grid`, which sized a weight grid, is deprecated and ignored.
 
     The optimum is certified on a 21 x 21 price grid at the chosen p by
     the damped demand fixed point: `certification_margin` is the largest
@@ -494,47 +485,48 @@ def cloud_revenue_opt(cfg: CloudConfig, p_grid: int = 41, theta_tol: float = 1e-
     (0 when none does), and `certification_unconverged` counts the grid
     points whose fixed point hit its iteration cap and so were not
     compared."""
+    if p_grid is not None:
+        warnings.warn("cloud_revenue_opt: p_grid is deprecated and ignored",
+                      DeprecationWarning, stacklevel=2)
     s = 1.0 / cfg.mu
     s2 = (1.0 + cfg.scv) * s * s
     (a1, a2), (b1, b2), (c1, c2), (T1, T2) = cfg.a, cfg.b, cfg.c, cfg.T
 
-    def equilibrium(l1, l2, p1):
-        # (theta1, theta2, w1, w2) that support rates (l1, l2), or None
-        w1, w2 = rp2_kernel(l1 * s, l2 * s, 0.5 * (l1 + l2) * s2, p1)
+    def cap(a, c, T, lam):
+        # the largest wait at rate lam > 0 that keeps the price >= 0 and the SLA
+        return min(T + 1e-12, (a - lam) / c if c else _INF) if lam else _INF
+
+    def best_end(l1, l2):
+        # (revenue, p1, (theta1, theta2, W1, W2)) at the better end of the
+        # interval of feasible weights; inverse demand there checks the
+        # other class's cap, and -inf marks rates with no feasible weight
+        r1, r2, w0 = l1 * s, l2 * s, 0.5 * (l1 + l2) * s2
+        if l1 > 0.0 and l2 > 0.0 and c1 * b2 > c2 * b1:  # c1/b1 > c2/b2: largest p1
+            q = rp2_min_weight(r1, r2, w0, cap(a2, c2, T2, l2), 1)
+            p1 = None if q is None else 1.0 - q
+        else:  # smallest p1, also where the revenue is flat in p1
+            p1 = rp2_min_weight(r1, r2, w0, cap(a1, c1, T1, l1), 0)
+        if p1 is None:
+            return -_INF, None, None
+        w1, w2 = rp2_kernel(r1, r2, w0, p1)
         theta1 = _inverse_demand(a1, b1, c1, T1, l1, w1)
         theta2 = _inverse_demand(a2, b2, c2, T2, l2, w2)
         if theta1 is None or theta2 is None:
-            return None
-        return theta1, theta2, w1, w2
+            return -_INF, None, None
+        return theta1 * l1 + theta2 * l2, p1, (theta1, theta2, w1, w2)
 
-    def revenue(l1, l2, p1):
-        eq = equilibrium(l1, l2, p1)
-        return -_INF if eq is None else eq[0] * l1 + eq[1] * l2
+    evaluations = 0
 
-    def best_at_p(p1, tol):
-        def inner(l1):
-            return _golden_max(lambda l2: revenue(l1, l2, p1), 0.0, a2, tol * b2)
+    def inner(l1):
+        nonlocal evaluations
+        l2, r, calls = _golden_max(lambda x: best_end(l1, x)[0], 0.0, a2, theta_tol * b2)
+        evaluations += calls
+        return l2, r
 
-        l1, _ = _golden_max(lambda x: inner(x)[1], 0.0, a1, tol * b1)
-        l2, r = inner(l1)
-        return r, l1, l2
-
-    # coarse scan over p, then one golden refinement of p, then a fine
-    # rate solve at the incumbent p
-    coarse = max(theta_tol, 1e-3)
-    grid = np.linspace(0.0, 1.0, p_grid).tolist()
-    results = [best_at_p(p, coarse)[0] for p in grid]
-    i = int(np.argmax(results))
-    p_best = grid[i]
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, p_grid - 1)]
-    if hi > lo:
-        p_ref, r_ref = _golden_max(lambda p: best_at_p(p, coarse)[0], lo, hi, 1e-3)
-        if r_ref > results[i]:
-            p_best = p_ref
+    l1 = _golden_max(lambda x: inner(x)[1], 0.0, a1, theta_tol * b1)[0]
     # zero rates are always admissible (zero waits, revenue 0), so r_best is finite
-    r_best, l1, l2 = best_at_p(p_best, theta_tol)
-    theta1, theta2, w1, w2 = equilibrium(l1, l2, p_best)
+    l2, r_best = inner(l1)
+    _, p_best, (theta1, theta2, w1, w2) = best_end(l1, l2)
     active = tuple(
         name
         for name, w, T, l in (("T1", w1, T1, l1), ("T2", w2, T2, l2))
@@ -551,6 +543,7 @@ def cloud_revenue_opt(cfg: CloudConfig, p_grid: int = 41, theta_tol: float = 1e-
             "lambda2": l2,
             "W1": w1,
             "W2": w2,
+            "evaluations": evaluations,
             "certification_margin": margin,
             "certification_unconverged": unconverged,
         },
@@ -601,10 +594,9 @@ def joint_pricing_T1(cfg: JointPricingConfig, grid: int = 200) -> ControlSolutio
     rate is feasible iff W_p at p = 1, W0/(1 - rho_p), is within S_p:
     l <= 2*S_p*(1 - rho_p)/E[S^2] - lambda_p, clipped to mu - lambda_p.
     The reduced objective is concave in l: a `grid`-point scan over the
-    feasible rates, golden-section refinement, then p from the closed-form
-    inverse of W_p(l, p) = target, raised where rounding leaves W_p above
-    S_p.  Delay-blind demand (c = 0, no SLA) takes the vertex a/2 clipped
-    to the stable range, with p = 0."""
+    feasible rates, golden-section refinement, then p from
+    :func:`rp2_min_weight`.  Delay-blind demand (c = 0, no SLA) takes the
+    vertex a/2 clipped to the stable range, with p = 0."""
     s = 1.0 / cfg.mu
     s2 = cfg.sigma2 + s * s
     ls_max = cfg.mu - cfg.lambda_p
@@ -622,27 +614,21 @@ def joint_pricing_T1(cfg: JointPricingConfig, grid: int = 200) -> ControlSolutio
         # (primary, secondary) RP waits at secondary rate ls
         return rp2_kernel(r_p, ls * s, 0.5 * (lam_p + ls) * s2, p)
 
-    def segment(ls):
-        # (rho, W0, the primary wait at p = 0; +inf where rp2_kernel finds
-        # the load unstable) at secondary rate ls
-        rho = r_p + ls * s
-        w0 = 0.5 * (lam_p + ls) * s2
-        if rho >= 1.0 - 1e-9:
-            return rho, w0, _INF
-        return rho, w0, w0 / ((1.0 - rho) * (1.0 - ls * s))
-
     def reduced(ls):
         # the objective at the best feasible weight, W_p = min(S_p, W_p at
         # p = 0).  By the conservation law ls*W_s is the secondary's strict-
         # priority delay ls*W0/(1 - rho_s) plus lambda_p times the part of
         # the primary's p = 0 wait the SLA takes back; this form has no
         # cancellation of large terms near rho = 1
-        _, w0, w_top = segment(ls)
-        if w_top == _INF:
+        rho = r_p + ls * s
+        if rho >= 1.0 - 1e-9:  # unstable, as rp2_kernel decides
             return -_INF
+        w0 = 0.5 * (lam_p + ls) * s2
+        w_top = w0 / ((1.0 - rho) * (1.0 - ls * s))
         ls_ws = ls * w0 / (1.0 - ls * s) + lam_p * max(w_top - cfg.S_p, 0.0)
         return (cfg.a * ls - ls * ls - cfg.c * ls_ws) / cfg.b
 
+    calls = 0
     if delay_blind:
         # exactly quadratic: vertex at a/2, clipped to the stable range
         ls_star = min(max(cfg.a / 2.0, 0.0), ls_max)
@@ -658,19 +644,14 @@ def joint_pricing_T1(cfg: JointPricingConfig, grid: int = 200) -> ControlSolutio
             step *= 2.0
         l_grid = np.linspace(0.0, ls_hi, grid).tolist()
         k = int(np.argmax([reduced(x) for x in l_grid]))
-        ls_star, _ = _golden_max(reduced, l_grid[max(k - 1, 0)], l_grid[min(k + 1, grid - 1)], 1e-12)
+        ls_star, _, calls = _golden_max(
+            reduced, l_grid[max(k - 1, 0)], l_grid[min(k + 1, grid - 1)], 1e-12
+        )
+        calls += grid
 
-    rho, w0, w_top = segment(ls_star)
-    p_star = 0.0
-    if cfg.S_p < w_top:
-        # W_p(l, p) = (1 - rho*p)*W0 / ((1 - rho)*(1 - r_s + p*(r_s - r_p)))
-        r_s, cap = ls_star * s, cfg.S_p
-        p_star = (w0 - cap * (1.0 - rho) * (1.0 - r_s)) / (rho * w0 + cap * (1.0 - rho) * (r_s - r_p))
-        p_star = min(max(p_star, 0.0), 1.0)
-        step = 2.0 ** -52
-        while p_star < 1.0 and waits(ls_star, p_star)[0] > cap:
-            p_star = min(1.0, p_star + step)
-            step *= 2.0
+    # None where rounding leaves W_p at p = 1 above S_p, or at an unstable rate
+    p_star = rp2_min_weight(r_p, ls_star * s, 0.5 * (lam_p + ls_star) * s2, cfg.S_p, 0)
+    p_star = 1.0 if p_star is None else p_star
 
     w_pri, w_sec = waits(ls_star, p_star)
     delay = cfg.c * w_sec if cfg.c else 0.0  # c = 0 ignores even an infinite wait
@@ -688,5 +669,5 @@ def joint_pricing_T1(cfg: JointPricingConfig, grid: int = 200) -> ControlSolutio
         {"lambda_s": ls_star, "p1": p_star, "theta": theta, "S_s": w_sec},
         objective=v_star,
         active_constraints=tuple(active),
-        diagnostics={"W_p": w_pri},
+        diagnostics={"W_p": w_pri, "evaluations": calls},
     )

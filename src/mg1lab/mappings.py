@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .analytic import expected_clearing_time, rp2_waits
+from .analytic import expected_clearing_time, rp2_min_weight, rp2_waits
 from .core import SystemModel, derive_loads, segment_point, wait_bounds
 from .errors import (
     BisectionError,
@@ -131,24 +131,22 @@ def integral_from_beta(model: SystemModel, beta: float) -> tuple[float, str]:
 def p1_from_alpha(model: SystemModel, alpha: float) -> float:
     """Relative-priority parameter whose wait vector is the segment point at
     alpha (alpha = 1 is strict (1,2), alpha = 0 strict (2,1))."""
-    model.require_two_classes()
-    if not (0.0 <= alpha <= 1.0):
-        raise InvalidParameterError(f"alpha must lie in [0, 1], got {alpha}")
-    rhos, rho, w0 = derive_loads(model)
-    r1, r2 = rhos
-    num = alpha * r2 * (2.0 - r1 - r2) * (1.0 - r2) * (1.0 - r1 - r2)
-    den = (alpha * r2 * (r1 + r2 - 2.0) + 1.0 - r1) * (r2 * (1.0 - r2) - r1 * (1.0 - r1)) + rho * (
-        1.0 - r1
-    ) * (1.0 - r2) * (1.0 - r1 - r2)
-    return min(max(num / den, 0.0), 1.0)
+    return _p1_of_w1(model, segment_point(model, alpha)[0])
+
+
+def _p1_of_w1(model: SystemModel, w1: float) -> float:
+    # the smallest class-1 weight whose wait is within w1; a target at the
+    # strict (1,2) wait that rounding puts below it gets strict priority
+    r1, r2 = model.rho_per_class
+    p1 = rp2_min_weight(r1, r2, model.w0, w1, 0)
+    return 1.0 if p1 is None else p1
 
 
 def alpha_from_p1(model: SystemModel, p1: float) -> float:
     """Convex weight of the segment point reached by relative priority p1."""
     model.require_two_classes()
     w1 = rp2_waits(model, p1)[0]
-    lo = segment_point(model, 0.0)[0]  # strict (2,1): largest class-1 wait
-    hi = segment_point(model, 1.0)[0]
+    hi, lo = wait_bounds(model)[0]  # the class-1 waits at alpha = 1 and 0
     if lo == hi:
         return 0.5  # degenerate segment (an empty class); every alpha coincides
     return (w1 - lo) / (hi - lo)
@@ -164,14 +162,6 @@ def _target_w1(model: SystemModel, target: SegmentTarget) -> float:
             f"target w1 = {target.target_w1} outside achievable [{lo1}, {hi1}]"
         )
     return min(max(target.target_w1, lo1), hi1)
-
-
-def _alpha_of_w1(model: SystemModel, w1: float) -> float:
-    lo = segment_point(model, 0.0)[0]
-    hi = segment_point(model, 1.0)[0]
-    if lo == hi:
-        return 0.5
-    return min(max((w1 - lo) / (hi - lo), 0.0), 1.0)
 
 
 # bisection knobs for the simulated schemes
@@ -221,12 +211,10 @@ def achieve_target(
         }[scheme]
         return SchemeParameter(scheme, endpoint, {"case": "endpoint"})
 
-    alpha = _alpha_of_w1(model, w1_star)
-    p1 = p1_from_alpha(model, alpha)
-    if scheme == "rp":
-        return SchemeParameter("rp", p1, {"case": "analytic"})
-    if scheme == "ddp":
-        return SchemeParameter("ddp", beta_from_p1(rho, p1), {"case": "analytic"})
+    if scheme in ("rp", "ddp"):
+        p1 = _p1_of_w1(model, w1_star)
+        value = p1 if scheme == "rp" else beta_from_p1(rho, p1)
+        return SchemeParameter(scheme, value, {"case": "analytic"})
 
     if sim_oracle is None:
         raise OracleRequiredError(f"scheme {scheme!r} needs a simulation oracle")

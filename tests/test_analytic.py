@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mg1lab import (
     CustomerClassSpec,
@@ -16,6 +19,7 @@ from mg1lab import (
     pp2_waits_approx,
     rp_waits,
     rp2_kernel,
+    rp2_min_weight,
     rp2_waits,
     strict_priority_waits_2class,
 )
@@ -147,6 +151,62 @@ class TestRP2Kernel:
         w1, w2 = rp2_kernel(np.array([0.2, 0.6, 0.9]), np.array([0.3, 0.4, 0.9]), 0.5, 0.3)
         assert np.isfinite(w1[0]) and np.isfinite(w2[0])
         assert np.isinf(w1[1:]).all() and np.isinf(w2[1:]).all()
+
+
+    def test_matches_exact_arithmetic_near_unit_load(self):
+        # r1 + r2 = 1 - 2**-29 is exact in binary, so only the kernel's own
+        # rounding separates it from rational arithmetic; a factor formed by
+        # cancellation (the expanded denominator, or 1 - rho*p1 with p1 near
+        # 1) loses about 1e-16/(1 - rho) ~ 1e-8 of relative accuracy
+        r1, r2, w0 = 0.25, 0.75 - 2.0**-29, 0.7
+        R1, R2, W0 = Fraction(r1), Fraction(r2), Fraction(w0)
+        for p1 in (0.0, 0.3, 0.375, 0.5, 0.8125, 0.999, 1.0 - 2.0**-30, 1.0):
+            P1 = Fraction(p1)
+            P2 = 1 - P1
+            den = (1 - R1 - P2 * R2) * (1 - R2 - P1 * R1) - P1 * P2 * R1 * R2
+            exact = ((1 - (R1 + R2) * P1) * W0 / den, (1 - (R1 + R2) * P2) * W0 / den)
+            for got, want in zip(rp2_kernel(r1, r2, w0, p1), exact):
+                assert abs(Fraction(got) - want) <= Fraction(1, 10**14) * want
+
+
+def _class_wait(r1, r2, w0, q, klass):
+    """The kernel wait of class `klass` when its own weight is q."""
+    return rp2_kernel(r1, r2, w0, q if klass == 0 else 1.0 - q)[klass]
+
+
+class TestRP2MinWeight:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.floats(0.01, 0.97),
+        st.floats(0.01, 0.97),
+        st.floats(1e-3, 10.0),
+        st.floats(0.0, 1.0),
+        st.sampled_from([0, 1]),
+    )
+    def test_round_trip_with_kernel(self, r1, r2, w0, q0, klass):
+        # the cap is the kernel's own wait at q0: the inverse returns a weight
+        # that meets it, next to q0, and lowering it by 2**-40 breaks the cap
+        assume(r1 + r2 <= 0.98)
+        cap = _class_wait(r1, r2, w0, q0, klass)
+        q = rp2_min_weight(r1, r2, w0, cap, klass)
+        assert q is not None and 0.0 <= q <= 1.0
+        assert _class_wait(r1, r2, w0, q, klass) <= cap
+        assert abs(q - q0) <= 1e-9
+        if q > 0.0:
+            assert _class_wait(r1, r2, w0, max(q - 2.0**-40, 0.0), klass) > cap
+
+    @pytest.mark.parametrize("klass", [0, 1])
+    def test_slack_and_unreachable_caps(self, klass):
+        r1, r2, w0 = 0.3, 0.4, 0.7
+        slack = _class_wait(r1, r2, w0, 0.0, klass)
+        strict = _class_wait(r1, r2, w0, 1.0, klass)
+        assert rp2_min_weight(r1, r2, w0, slack, klass) == 0.0
+        assert rp2_min_weight(r1, r2, w0, math.inf, klass) == 0.0
+        assert rp2_min_weight(r1, r2, w0, strict, klass) is not None
+        assert rp2_min_weight(r1, r2, w0, 0.999 * strict, klass) is None
+        # an unstable load meets only an infinite cap
+        assert rp2_min_weight(0.6, 0.4, w0, 1e6, klass) is None
+        assert rp2_min_weight(0.6, 0.4, w0, math.inf, klass) == 0.0
 
 
 class TestPP:

@@ -257,6 +257,16 @@ class TestOptimize:
         assert sol["objective"] == pytest.approx(want, abs=1e-8)
         assert sol["diagnostics"]["certification_unconverged"] == 0
 
+    def test_cloud_reports_evaluations(self, tmp_path):
+        doc = {"mu": 1.0, "scv": 1.0, "a": [0.8, 0.8], "b": [1.5, 1.5], "c": [0.2, 0.2],
+               "T": [5.0, 5.0]}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(doc))
+        out = tmp_path / "out.json"
+        assert main(["optimize", "cloud", "--config", str(p), "--out", str(out)]) == 0
+        evaluations = json.loads(out.read_text())["solution"]["diagnostics"]["evaluations"]
+        assert isinstance(evaluations, int) and evaluations > 0
+
     def test_json_has_no_infinity(self, tmp_path):
         # this c=0 optimum sits at rho = 1, where both waits are infinite
         doc = {"mu": 1.0, "scv": 1.0, "a": [1.0, 1.0], "b": [2.0, 2.0], "c": [0.0, 0.0]}

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from mg1lab import (
     segment_point,
     tail_prob_approx,
 )
-from mg1lab.control import _cloud_certify
+from mg1lab.control import _cloud_certify, _golden_max
 from mg1lab.errors import InfeasibleError, InvalidParameterError
 
 DET1 = ServiceDistribution.deterministic(1.0)
@@ -211,6 +212,19 @@ class TestHpc:
         with pytest.raises(InfeasibleError):
             hpc_revenue_constrained(HpcConfig(**self.CFG, w1=1.0, w2=1.0, S_R=0.01))
 
+    def test_sla_within_tolerance_below_strict_wait(self):
+        # S_R a hair below the regular class's strict-priority wait passes
+        # the 1e-12 feasibility check and gets that strict priority
+        m = HpcConfig(**self.CFG, w1=1.0, w2=1.0).model()
+        w_min = rp2_waits(m, 0.0)[1]
+        sol = hpc_revenue_constrained(HpcConfig(**self.CFG, w1=1.0, w2=1.0, S_R=w_min - 5e-13))
+        assert sol.params["p1"] == 0.0
+        assert sol.active_constraints == ("S_R",)
+
+    def test_utility_reports_evaluations(self):
+        sol = hpc_utility_opt(HpcConfig(**self.CFG, w1=1.0, w2=1.0))
+        assert sol.diagnostics["evaluations"] > sol.diagnostics["grid_points"]
+
 
 class TestCloud:
     def test_delay_insensitive_closed_form(self):
@@ -251,6 +265,34 @@ class TestCloud:
         assert again == pytest.approx(sol.objective, abs=1e-9)
 
 
+class TestSolverHelpers:
+    def test_golden_max_counts_its_calls(self):
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return -(x - 0.3) ** 2
+
+        x, fx, calls = _golden_max(f, 0.0, 1.0, 1e-9)
+        assert calls == len(seen)
+        assert x == pytest.approx(0.3, abs=1e-9) and fx == -((x - 0.3) ** 2)
+
+    def test_cloud_p_grid_is_deprecated(self):
+        cfg = CloudConfig(mu=1.0, scv=1.0, a=(1.0, 1.0), b=(2.0, 2.0), c=(0.0, 0.0))
+        with pytest.warns(DeprecationWarning, match="p_grid"):
+            cloud_revenue_opt(cfg, p_grid=41, theta_tol=1e-6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = cloud_revenue_opt(cfg, theta_tol=1e-6)
+        assert sol.diagnostics["evaluations"] > 0
+
+    def test_joint_reports_evaluations(self):
+        sol = joint_pricing_T1(JointPricingConfig(0.3, 1.0, 1.0, 0.7, 2.0, 1.0, 1.0), grid=50)
+        assert sol.diagnostics["evaluations"] > 50
+        blind = joint_pricing_T1(JointPricingConfig(0.3, 1.0, 1.0, math.inf, 2.0, 1.0, 0.0))
+        assert blind.diagnostics["evaluations"] == 0
+
+
 def _induced_rates(cfg, theta1, theta2, p1, iters=2000):
     """Arrival rates that prices (theta1, theta2) induce at RP weight p1,
     by the damped demand fixed point started from zero demand."""
@@ -276,7 +318,65 @@ def _induced_rates(cfg, theta1, theta2, p1, iters=2000):
     return lam
 
 
+def _best_weight_on_grid(cfg, l1, l2, n=1001):
+    """Largest revenue over n evenly spaced weights at fixed rates (l1, l2),
+    with prices by inverse demand and the price and SLA checks written out."""
+    s = 1.0 / cfg.mu
+    s2 = (1.0 + cfg.scv) * s * s
+    p = np.linspace(0.0, 1.0, n)
+    waits = rp2_kernel(l1 * s, l2 * s, 0.5 * (l1 + l2) * s2, p)
+    total, ok = np.zeros(n), np.ones(n, dtype=bool)
+    for lam, w, a, b, c, T in zip((l1, l2), waits, cfg.a, cfg.b, cfg.c, cfg.T):
+        if lam > 0.0:
+            with np.errstate(invalid="ignore"):
+                theta = (a - lam - (c * w if c else 0.0)) / b
+            ok &= (theta >= 0.0) & (w <= T + 1e-12)
+            total = total + np.where(ok, theta, 0.0) * lam
+    return float(np.max(np.where(ok, total, -np.inf)))
+
+
+@st.composite
+def cloud_configs(draw):
+    """Cloud pricing problems: wait-blind and delay-sensitive classes,
+    finite and infinite SLA caps, light to overloaded demand."""
+    mu = draw(st.floats(0.5, 2.0))
+    c = [draw(st.one_of(st.just(0.0), st.floats(0.01, 1.0))) for _ in range(2)]
+    T = [draw(st.one_of(st.just(math.inf), st.floats(0.3, 6.0).map(lambda x: x / mu)))
+         for _ in range(2)]
+    return CloudConfig(mu=mu, scv=draw(st.floats(0.0, 3.0)),
+                       a=(mu * draw(st.floats(0.3, 1.5)), mu * draw(st.floats(0.3, 1.5))),
+                       b=(draw(st.floats(0.5, 3.0)), draw(st.floats(0.5, 3.0))),
+                       c=tuple(c), T=tuple(T))
+
+
+CLOUD_CASES = [
+    CloudConfig(mu=1.0, scv=1.0, a=(1.0, 1.0), b=(2.0, 2.0), c=(0.0, 0.0)),
+    CloudConfig(mu=1.0, scv=1.0, a=(0.8, 0.8), b=(1.5, 1.5), c=(0.2, 0.2), T=(5.0, 5.0)),
+    CloudConfig(mu=1.0, scv=1.0, a=(1.0, 0.6), b=(2.0, 1.0), c=(0.5, 0.1), T=(0.4, 8.0)),
+    CloudConfig(mu=1.0, scv=1.0, a=(0.8, 0.8), b=(1.5, 1.5), c=(0.0, 0.3)),
+]
+
+
+def _assert_weight_optimal(cfg):
+    sol = cloud_revenue_opt(cfg)
+    l1, l2 = sol.diagnostics["lambda1"], sol.diagnostics["lambda2"]
+    best = _best_weight_on_grid(cfg, l1, l2)
+    assert sol.objective >= best - 1e-12 * max(1.0, abs(best))
+    assert 0.0 <= sol.params["p1"] <= 1.0
+
+
 class TestCloudEquilibrium:
+    @pytest.mark.parametrize("cfg", CLOUD_CASES, ids=["c0", "symmetric-T5", "asymmetric-binding-T1", "mixed"])
+    def test_weight_optimal_at_returned_rates(self, cfg):
+        # the weight is an end of its feasible interval; no weight on a fine
+        # grid earns more at the returned rates
+        _assert_weight_optimal(cfg)
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(cloud_configs())
+    def test_weight_optimal_on_random_configs(self, cfg):
+        _assert_weight_optimal(cfg)
+
     @pytest.mark.parametrize(
         "cfg, binding",
         [

@@ -87,6 +87,15 @@ class TestAlphaMap:
         for alpha in np.linspace(0.0, 1.0, 21):
             assert alpha_from_p1(m, p1_from_alpha(m, alpha)) == pytest.approx(alpha, abs=1e-10)
 
+    def test_empty_second_class(self):
+        # with no class-2 traffic the class-1 wait is the same at every
+        # weight, so any p1 in [0, 1] reaches the one-point segment
+        m = model2(0.3, 0.0)
+        for alpha in (0.0, 0.5, 1.0):
+            p1 = p1_from_alpha(m, alpha)
+            assert 0.0 <= p1 <= 1.0
+            assert rp2_waits(m, p1)[0] == pytest.approx(segment_point(m, alpha)[0], rel=1e-12)
+
     def test_image_is_full_interval(self):
         # the map alpha(p1) is continuous and spans [0, 1] on a fine grid
         m = model2()
