@@ -246,13 +246,12 @@ def achievable_segment(model: SystemModel) -> AchievableSegment:
 
 def segment_point(model: SystemModel, alpha: float) -> WaitVector:
     """Convex combination alpha*endpoint_12 + (1-alpha)*endpoint_21."""
-    model.require_two_classes()
+    # endpoint_12 is (lo1, hi2) and endpoint_21 is (hi1, lo2), by the same
+    # expressions as strict_priority_waits_2class
+    (lo1, hi1), (lo2, hi2) = wait_bounds(model)
     if not (0.0 <= alpha <= 1.0):
         raise InvalidParameterError(f"alpha must lie in [0, 1], got {alpha}")
-    seg = achievable_segment(model)
-    return WaitVector(
-        [alpha * a + (1.0 - alpha) * b for a, b in zip(seg.endpoint_12.w, seg.endpoint_21.w)]
-    )
+    return WaitVector([alpha * lo1 + (1.0 - alpha) * hi1, alpha * hi2 + (1.0 - alpha) * lo2])
 
 
 def wait_bounds(model: SystemModel) -> tuple[tuple[float, float], tuple[float, float]]:

@@ -38,7 +38,7 @@ class OracleRequiredError(QueueingError):
 
 
 class BisectionError(QueueingError):
-    """Bisection failed to converge within the allowed number of oracle calls."""
+    """A parameter search failed to converge within the allowed number of oracle calls."""
 
     def __init__(self, message, iterations=None):
         super().__init__(message)

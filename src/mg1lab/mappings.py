@@ -5,7 +5,7 @@ with any scheme.
 
 The canonical exchange currencies are beta and the busy-period integral,
 which are exact; urgency differences (ubar, dbar) are only ever reported
-as the terminal parameter of a simulation-backed bisection.
+as the terminal parameter of a simulation-backed search.
 """
 
 from __future__ import annotations
@@ -164,11 +164,13 @@ def _target_w1(model: SystemModel, target: SegmentTarget) -> float:
     return min(max(target.target_w1, lo1), hi1)
 
 
-# bisection knobs for the simulated schemes
+# search knobs for the simulated schemes
 _BRACKET_TOL = 1e-3
 _MAX_ORACLE_CALLS = 20
+#: every probe lies at least this share of the bracket width inside each end
+_SAFEGUARD = 0.1
 
-#: scale factor turning the bounded bisection variable into an urgency
+#: scale factor turning the bounded search variable into an urgency
 #: difference; tan maps (0, 1) onto the full extended real line.
 def _ubar_of_t(t: float, scale: float) -> float:
     if t <= 0.0:
@@ -176,6 +178,15 @@ def _ubar_of_t(t: float, scale: float) -> float:
     if t >= 1.0:
         return math.inf
     return scale * math.tan(math.pi * (t - 0.5))
+
+
+def _interpolate(anchors: list[tuple[float, float]], w1: float) -> float:
+    """The t at which the piecewise-linear curve through the (t, w1) anchors,
+    increasing in both coordinates, reaches w1 (strictly inside its range)."""
+    for (t0, a), (t1, b) in zip(anchors, anchors[1:]):
+        if w1 <= b:
+            break
+    return t0 + (w1 - a) * (t1 - t0) / (b - a)
 
 
 def achieve_target(
@@ -188,9 +199,24 @@ def achieve_target(
     """Find the scheme parameter whose class-1 mean wait matches the target.
 
     For RP and DDP the answer is analytic and exact.  For EDD, HOL-PJ and PP
-    a simulation oracle `param -> (mean_w1, ci_halfwidth)` must be supplied;
-    the parameter is located by monotone bisection, stopping once the oracle
-    CI covers the target or the parameter bracket closes below 1e-3.
+    a simulation oracle `param -> (mean_w1, ci_halfwidth)` must be supplied.
+    The parameter is located on a bounded variable t in [0, 1], with class-1
+    wait increasing in t, stopping once the oracle CI covers the target
+    (diagnostic `covered` True) or the t bracket closes below 1e-3
+    (`covered` False: the returned parameter is the bracket's midpoint).
+
+    The search uses the waits the paper gives exactly: the strict-priority
+    waits at t = 0 and t = 1, and for EDD and HOL-PJ the GFCFS wait
+    W0/(1 - rho) at t = 1/2 (urgency difference 0).  The first probe
+    interpolates the target linearly through these anchors.  Later probes
+    take false position between the bracket ends, with oracle means clipped
+    to the strict-priority range.  Each probe lies at least 10% of the
+    bracket width inside each end, and a step that keeps more than half the
+    bracket is followed by a bisection step, so the bracket shrinks to at
+    most 0.45 of its width every two probes and the search makes at most 18
+    oracle calls.  The anchors seed the first probe only: a sample path may
+    cross the target on the other side of t = 1/2, so the bracket stays
+    [0, 1] until the oracle narrows it.
     """
     model.require_two_classes()
     if scheme not in SCHEMES:
@@ -220,13 +246,15 @@ def achieve_target(
         raise OracleRequiredError(f"scheme {scheme!r} needs a simulation oracle")
 
     # EDD / HOL-PJ: w1 increasing in the urgency difference; PP: w1
-    # decreasing in omega1.  Solve on a bounded variable t in [0, 1] with
-    # w1 increasing in t.
+    # decreasing in omega1.  The urgency scale is the GFCFS wait, reached
+    # at urgency difference 0.
     scale = model.w0 / (1.0 - rho)
     if scheme == "pp":
         param_of_t = lambda t: 1.0 - t  # noqa: E731
+        anchors = [(0.0, lo1), (1.0, hi1)]
     else:
         param_of_t = lambda t: _ubar_of_t(t, scale)  # noqa: E731
+        anchors = [(0.0, lo1), (0.5, scale), (1.0, hi1)]
 
     calls = 0
 
@@ -239,26 +267,27 @@ def achieve_target(
             )
         return sim_oracle(param_of_t(t))
 
-    t_lo, t_hi = 0.0, 1.0
-    t_mid = 0.5
+    # bracket ends with their class-1 waits, lo_w < w1_star < hi_w throughout
+    t_lo, t_hi, lo_w, hi_w = 0.0, 1.0, lo1, hi1
+    t = _interpolate(anchors, w1_star)
     while True:
-        mean, ci = probe(t_mid)
-        if abs(mean - w1_star) <= ci:
+        width = t_hi - t_lo
+        t = min(max(t, t_lo + _SAFEGUARD * width), t_hi - _SAFEGUARD * width)
+        mean, ci = probe(t)
+        covered = bool(abs(mean - w1_star) <= ci)
+        if not covered:
+            if mean < w1_star:
+                t_lo, lo_w = t, max(lo1, mean)
+            else:  # a NaN mean lands here, clipped to hi1
+                t_hi, hi_w = t, min(hi1, mean)
+        if covered or t_hi - t_lo < _BRACKET_TOL:
             return SchemeParameter(
                 scheme,
-                param_of_t(t_mid),
+                param_of_t(t if covered else 0.5 * (t_lo + t_hi)),
                 {"case": "bisection", "oracle_calls": calls, "bracket": t_hi - t_lo,
-                 "achieved_w1": mean, "ci": ci},
+                 "achieved_w1": mean, "ci": ci, "covered": covered},
             )
-        if mean < w1_star:
-            t_lo = t_mid
+        if t_hi - t_lo > 0.5 * width:
+            t = 0.5 * (t_lo + t_hi)
         else:
-            t_hi = t_mid
-        if t_hi - t_lo < _BRACKET_TOL:
-            return SchemeParameter(
-                scheme,
-                param_of_t(0.5 * (t_lo + t_hi)),
-                {"case": "bisection", "oracle_calls": calls, "bracket": t_hi - t_lo,
-                 "achieved_w1": mean, "ci": ci},
-            )
-        t_mid = 0.5 * (t_lo + t_hi)
+            t = _interpolate([(t_lo, lo_w), (t_hi, hi_w)], w1_star)  # false position

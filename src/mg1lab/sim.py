@@ -138,9 +138,6 @@ class SimEstimate:
     sample_count: tuple[int, ...]
     residual: float
 
-    def wait_vector(self) -> WaitVector:
-        return WaitVector(self.mean)
-
 
 # ---------------------------------------------------------------------------
 # random streams

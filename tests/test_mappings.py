@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mg1lab import (
     CustomerClassSpec,
@@ -13,6 +15,7 @@ from mg1lab import (
     beta_from_integral,
     beta_from_p1,
     ddp2_waits,
+    gfcfs_wait,
     integral_from_beta,
     p1_from_alpha,
     p1_from_beta,
@@ -27,6 +30,47 @@ EXP1 = ServiceDistribution.exponential(1.0)
 
 def model2(l1=0.3, l2=0.2, dist=EXP1):
     return SystemModel((CustomerClassSpec(l1, dist), CustomerClassSpec(l2, dist)))
+
+
+#: oracle calls within which achieve_target's search always stops
+WORST_CASE_CALLS = 18
+
+
+def _t_of_param(m, scheme, param):
+    # inverse of achieve_target's map from its search variable t to the
+    # scheme parameter (an urgency difference, or omega1 for PP)
+    if scheme == "pp":
+        return 1.0 - param
+    return 0.5 + math.atan(param * (1.0 - m.rho) / m.w0) / math.pi
+
+
+def ddp_keyed_oracle(m, scheme, ci, offset=0.0, warp=1.0):
+    """Stand-in oracle: exact DDP class-1 waits keyed by the search variable
+    t (warped as t**warp), shifted by `offset`, with a fixed CI.  Unwarped,
+    it passes through the strict waits at t = 0, 1 and GFCFS at t = 1/2."""
+    def oracle(param):
+        t = _t_of_param(m, scheme, param) ** warp
+        return ddp2_waits(m, beta_from_p1(m.rho, 1.0 - t))[0] + offset, ci
+    return oracle
+
+
+def bisection_calls(m, scheme, oracle, w1_star):
+    """Oracle calls of plain bisection on t (probe the midpoint, halve the
+    bracket, stop on cover or a bracket below 1e-3)."""
+    scale = m.w0 / (1.0 - m.rho)
+    t_lo, t_hi, calls = 0.0, 1.0, 0
+    while True:
+        t = 0.5 * (t_lo + t_hi)
+        calls += 1
+        mean, ci = oracle(1.0 - t if scheme == "pp" else scale * math.tan(math.pi * (t - 0.5)))
+        if abs(mean - w1_star) <= ci:
+            return calls
+        if mean < w1_star:
+            t_lo = t
+        else:
+            t_hi = t
+        if t_hi - t_lo < 1e-3:
+            return calls
 
 
 class TestBetaP1:
@@ -170,3 +214,111 @@ class TestAchieveTarget:
     def test_unknown_scheme(self):
         with pytest.raises(InvalidParameterError):
             achieve_target(model2(), SegmentTarget(alpha=0.5), "lifo")
+
+    def test_crossing_across_the_gfcfs_anchor(self):
+        # the exact curve meets the target just below GFCFS (t < 1/2), but
+        # the oracle, shifted by -2 CI, covers it only beyond t = 1/2: the
+        # GFCFS anchor must not narrow the bracket
+        m = model2()
+        (lo1, hi1), _ = wait_bounds(m)
+        ci = 0.01 * (hi1 - lo1)
+        w1_star = gfcfs_wait(m) - 0.5 * ci
+        oracle = ddp_keyed_oracle(m, "edd", ci, offset=-2.0 * ci)
+        got = achieve_target(m, SegmentTarget(target_w1=w1_star), "edd", sim_oracle=oracle)
+        d = got.diagnostics
+        assert d["covered"] and abs(d["achieved_w1"] - w1_star) <= ci
+        assert got.value > 0.0  # an urgency difference above 0 is t > 1/2
+
+    def test_uncovered_bracket_closure_is_reported(self):
+        # an oracle that jumps over the target by 3 CI never covers it: the
+        # search ends when its bracket closes, and says so
+        m = model2()
+        (lo1, hi1), _ = wait_bounds(m)
+        ci = 0.01 * (hi1 - lo1)
+        w1_star = segment_point(m, 0.4)[0]
+        exact = ddp_keyed_oracle(m, "pp", ci)
+
+        def oracle(omega):
+            mean, _ = exact(omega)
+            return mean + math.copysign(3.0 * ci, mean - w1_star), ci
+
+        got = achieve_target(m, SegmentTarget(alpha=0.4), "pp", sim_oracle=oracle)
+        d = got.diagnostics
+        assert d["case"] == "bisection" and d["covered"] is False
+        assert d["bracket"] < 1e-3 and d["oracle_calls"] <= WORST_CASE_CALLS
+        assert abs(d["achieved_w1"] - w1_star) > ci
+        # the returned omega1 sits at the crossing of the exact curve
+        assert rp2_waits(m, got.value)[0] == pytest.approx(w1_star, rel=1e-2)
+
+    @pytest.mark.parametrize("scheme", ["edd", "pp"])
+    @pytest.mark.parametrize("alpha, mean", [(0.9, 0.0), (0.97, 0.0), (0.1, 1e9), (0.03, 1e9)])
+    def test_worst_case_call_count(self, scheme, alpha, mean):
+        # an oracle pinned beyond one end puts every false-position probe on
+        # the safeguard, 10% inside the bracket: each is followed by a
+        # bisection step, and the bracket closes at the worst-case count (one
+        # fewer where rounding makes a kept half read as more than half)
+        got = achieve_target(model2(), SegmentTarget(alpha=alpha), scheme,
+                             sim_oracle=lambda _param: (mean, 0.0))
+        d = got.diagnostics
+        assert d["covered"] is False and d["bracket"] < 1e-3
+        assert 17 <= d["oracle_calls"] <= WORST_CASE_CALLS
+
+    def test_first_probe_interpolates_exact_anchors(self):
+        # strict waits at t = 0 and 1 and, for EDD, GFCFS at t = 1/2
+        m = model2()
+        (lo1, hi1), _ = wait_bounds(m)
+        g = gfcfs_wait(m)
+        for scheme, w1_star, t_first in (("edd", 0.5 * (g + hi1), 0.75),
+                                         ("edd", 0.6 * lo1 + 0.4 * g, 0.2),
+                                         ("pp", 0.7 * lo1 + 0.3 * hi1, 0.3)):
+            params = []
+
+            def oracle(param):
+                params.append(param)
+                return w1_star, 1.0  # covers at once
+
+            achieve_target(m, SegmentTarget(target_w1=w1_star), scheme, sim_oracle=oracle)
+            assert len(params) == 1
+            assert _t_of_param(m, scheme, params[0]) == pytest.approx(t_first, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        rho=st.floats(0.1, 0.9),
+        share=st.floats(0.1, 0.9),
+        alpha=st.floats(0.1, 0.9),
+        scheme=st.sampled_from(("edd", "holpj", "pp")),
+        ci_rel=st.floats(0.005, 0.04),
+        offset_ci=st.floats(-2.0, 2.0),
+        warp=st.floats(0.5, 2.0),
+    )
+    def test_search_hits_monotone_stubs(self, rho, share, alpha, scheme, ci_rel, offset_ci, warp):
+        # monotone oracles offset by up to 2 CI and warped away from the
+        # anchors: the covering window is wider than the bracket tolerance,
+        # so the search hits within its worst-case call count
+        m = model2(rho * share, rho * (1.0 - share))
+        (lo1, hi1), _ = wait_bounds(m)
+        ci = ci_rel * (hi1 - lo1)
+        w1_star = segment_point(m, alpha)[0]
+        oracle = ddp_keyed_oracle(m, scheme, ci, offset=offset_ci * ci, warp=warp)
+        d = achieve_target(m, SegmentTarget(alpha=alpha), scheme, sim_oracle=oracle).diagnostics
+        assert d["covered"] and abs(d["achieved_w1"] - w1_star) <= ci
+        assert d["oracle_calls"] <= WORST_CASE_CALLS
+
+    def test_fewer_calls_than_bisection_on_exact_curves(self):
+        # noise-free stubs: never more calls than plain bisection's bracket
+        # closure (10), and far fewer in total than bisection needs
+        ours = theirs = 0
+        for rho in (0.2, 0.5, 0.8):
+            for share in (0.2, 0.5, 0.8):
+                m = model2(rho * share, rho * (1.0 - share))
+                (lo1, hi1), _ = wait_bounds(m)
+                for scheme in ("edd", "pp"):
+                    for alpha in np.linspace(0.05, 0.95, 19):
+                        oracle = ddp_keyed_oracle(m, scheme, 0.01 * (hi1 - lo1))
+                        w1_star = segment_point(m, alpha)[0]
+                        d = achieve_target(m, SegmentTarget(alpha=alpha), scheme,
+                                           sim_oracle=oracle).diagnostics
+                        assert d["covered"] and d["oracle_calls"] <= 10
+                        ours += d["oracle_calls"]
+                        theirs += bisection_calls(m, scheme, oracle, w1_star)
+        assert ours <= 0.6 * theirs

@@ -2,12 +2,15 @@ import json
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mg1lab import (
     CustomerClassSpec,
     ServiceDistribution,
     SystemModel,
     WaitVector,
+    achievable_segment,
     conservation_residual,
     gfcfs_wait,
     segment_point,
@@ -131,3 +134,21 @@ class TestSegment:
     def test_alpha_out_of_range(self):
         with pytest.raises(InvalidParameterError):
             segment_point(model2(), 1.5)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        lams=st.tuples(st.floats(0.0, 0.95), st.floats(0.0, 0.95)),
+        mean=st.floats(0.1, 2.0),
+        scv=st.sampled_from((0.0, 0.5, 1.0, 4.0)),
+        alpha=st.floats(0.0, 1.0),
+    )
+    def test_point_is_convex_combination_of_endpoints(self, lams, mean, scv, alpha):
+        assume(0.0 < sum(lams) * mean < 0.98)
+        kind = {0.0: "deterministic", 0.5: "erlang-k", 1.0: "exponential"}.get(
+            scv, "balanced-hyperexponential-2")
+        dist = ServiceDistribution(kind, mean, scv)
+        m = SystemModel([CustomerClassSpec(lam, dist) for lam in lams])
+        seg = achievable_segment(m)
+        want = tuple(alpha * a + (1.0 - alpha) * b
+                     for a, b in zip(seg.endpoint_12.w, seg.endpoint_21.w))
+        assert segment_point(m, alpha).w == want
