@@ -11,7 +11,6 @@ numerically and certified against dense grids.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -64,7 +63,10 @@ class ControlSolution:
 
 def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -> tuple[float, float, int]:
     """Golden-section maximization on [lo, hi]; returns (x, f(x), calls to
-    f).  Endpoint values are checked so boundary optima are never missed."""
+    f).  Endpoint values are checked so boundary optima are never missed.
+    The bracket stops at tol or at four ulps of the larger end, whichever
+    is wider, so a tol below float resolution cannot stall the loop."""
+    tol = max(tol, 4.0 * math.ulp(max(abs(lo), abs(hi))))
     calls = 0
 
     def g(x):
@@ -202,23 +204,22 @@ def pp_param_for_utility_approx(cfg: NetworkUtilityConfig) -> ControlSolution:
 
 def network_optimal_utility(cfg: NetworkUtilityConfig) -> ControlSolution:
     """Maximum utility over work-conserving disciplines, in three cases by
-    the location of K relative to the achievable class-1 wait range."""
+    the location of K relative to the achievable class-1 wait range.  The
+    optimal wait pair is params["w1"] and diagnostics["w2"]."""
     model = cfg.model
     r1, r2 = model.rho_per_class
     K = network_K(model.rho, cfg.d, cfg.b)
-    lo, hi = wait_bounds(model)[0]
-    w2_strict = model.w0 / (1.0 - r2)
-    if K > hi:
-        util = cfg.v1 + cfg.v3 - cfg.v4 * (1.0 + w2_strict)
-        return ControlSolution("deadline-slack", {"w1": hi}, objective=util,
-                               diagnostics={"K": K})
-    if K < lo:
-        util = cfg.v3 - cfg.v2 - cfg.v4 * (1.0 + w2_strict)
-        return ControlSolution("deadline-unmeetable", {"w1": hi}, objective=util,
-                               diagnostics={"K": K})
-    w2 = (model.rho * gfcfs_wait(model) - r1 * K) / r2  # the conservation law
-    util = cfg.v1 + cfg.v3 - cfg.v4 * (1.0 + w2)
-    return ControlSolution("dynamic", {"w1": K}, objective=util,
+    (lo, hi), (w2_strict, _) = wait_bounds(model)
+    if lo <= K <= hi:
+        case, w1 = "dynamic", K
+        w2 = (model.rho * gfcfs_wait(model) - r1 * K) / r2  # the conservation law
+    else:
+        # static: class 2 strict priority, class 1 at its upper endpoint
+        case = "deadline-slack" if K > hi else "deadline-unmeetable"
+        w1, w2 = hi, w2_strict
+    reward = cfg.v1 if K >= lo else -cfg.v2  # deadline met or declared missed
+    util = reward + cfg.v3 - cfg.v4 * (1.0 + w2)
+    return ControlSolution(case, {"w1": w1}, objective=util,
                            diagnostics={"K": K, "w2": w2})
 
 
@@ -276,8 +277,7 @@ def minmax_fair_point(model: SystemModel) -> tuple[float, float, float]:
 class HpcConfig:
     """Prime (P) and regular (R) job types with a common service
     distribution.  The prime price is demand-set as theta = a - b*W_P; w1
-    weighs prime revenue and w2 the regular-class service level, penalized
-    by default (set penalize_regular=False for the additive reading)."""
+    weighs prime revenue and w2 penalizes the regular-class wait."""
 
     lambda_P: float
     lambda_R: float
@@ -287,7 +287,6 @@ class HpcConfig:
     w1: float
     w2: float
     S_R: Optional[float] = None
-    penalize_regular: bool = True
 
     def __post_init__(self):
         if self.lambda_P <= 0 or self.lambda_R <= 0:
@@ -308,34 +307,28 @@ class HpcConfig:
 
 def hpc_utility_opt(cfg: HpcConfig) -> ControlSolution:
     """Maximize w1*(a - b*W_P(p))*lambda_P - w2*W_R(p) over the relative
-    priority weight p of the prime class.  Golden-section refinement on
-    top of a coarse grid; endpoints always checked."""
+    priority weight p of the prime class.
+
+    The utility is a constant minus the holding cost w1*lambda_P*b*W_P +
+    w2*W_R, linear on the achievable segment, so the c/rho rule
+    (:func:`cmu_rule_2class`) picks the optimal end: strict priority to the
+    class with the larger cost-to-load ratio, p = 0 on a tie (the utility
+    is then flat in p).  No objective search is made: `evaluations` is 0."""
     model = cfg.model()
     r1, r2 = model.rho_per_class
     w0 = model.w0
-    sign = -1.0 if cfg.penalize_regular else 1.0
-
-    def theta(p):
-        return cfg.a - cfg.b * rp2_kernel(r1, r2, w0, p)[0]
-
-    if theta(1.0) < 0:
+    if cfg.a - cfg.b * rp2_kernel(r1, r2, w0, 1.0)[0] < 0:
         raise InfeasibleError("the prime price is negative at every priority level")
 
-    def util(p):
-        # p is a float or the whole grid
-        w_p, w_r = rp2_kernel(r1, r2, w0, p)
-        return cfg.w1 * (cfg.a - cfg.b * w_p) * cfg.lambda_P + sign * cfg.w2 * w_r
-
-    grid = np.linspace(0.0, 1.0, 1001)
-    i = int(np.argmax(util(grid)))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    p_star, u_star, calls = _golden_max(util, lo, hi, 1e-12)
+    rule = cmu_rule_2class(model, cfg.w1 * cfg.lambda_P * cfg.b, cfg.w2)
+    p_star = rule.params["p1"]
+    w_p, w_r = rp2_kernel(r1, r2, w0, p_star)
+    theta = cfg.a - cfg.b * w_p
     return ControlSolution(
-        "interior" if 0.0 < p_star < 1.0 else "boundary",
-        {"p1": p_star, "theta": theta(p_star)},
-        objective=u_star,
-        diagnostics={"grid_points": len(grid), "evaluations": len(grid) + calls},
+        "boundary",
+        {"p1": p_star, "theta": theta},
+        objective=cfg.w1 * theta * cfg.lambda_P - cfg.w2 * w_r,
+        diagnostics={"evaluations": 0},
     )
 
 
@@ -458,7 +451,7 @@ def _cloud_certify(cfg: CloudConfig, p1: float, r_best: float) -> tuple[float, i
     return max(0.0, float(gain.max())), int(running.sum())
 
 
-def cloud_revenue_opt(cfg: CloudConfig, p_grid: Optional[int] = None, theta_tol: float = 1e-7) -> ControlSolution:
+def cloud_revenue_opt(cfg: CloudConfig, theta_tol: float = 1e-7) -> ControlSolution:
     """Maximize theta1*l1 + theta2*l2 over prices and the priority weight.
 
     The search runs over the arrival rates (l1, l2) and recovers each price
@@ -477,7 +470,6 @@ def cloud_revenue_opt(cfg: CloudConfig, p_grid: Optional[int] = None, theta_tol:
     weights keeping each W_i within min(T_i, (a_i - l_i)/c_i) that has the
     lower W1 when c1/b1 > c2/b2, and otherwise (the revenue flat in p1
     included) the end with the higher W1, both from :func:`rp2_min_weight`.
-    `p_grid`, which sized a weight grid, is deprecated and ignored.
 
     The optimum is certified on a 21 x 21 price grid at the chosen p by
     the damped demand fixed point: `certification_margin` is the largest
@@ -485,9 +477,6 @@ def cloud_revenue_opt(cfg: CloudConfig, p_grid: Optional[int] = None, theta_tol:
     (0 when none does), and `certification_unconverged` counts the grid
     points whose fixed point hit its iteration cap and so were not
     compared."""
-    if p_grid is not None:
-        warnings.warn("cloud_revenue_opt: p_grid is deprecated and ignored",
-                      DeprecationWarning, stacklevel=2)
     s = 1.0 / cfg.mu
     s2 = (1.0 + cfg.scv) * s * s
     (a1, a2), (b1, b2), (c1, c2), (T1, T2) = cfg.a, cfg.b, cfg.c, cfg.T
@@ -581,7 +570,7 @@ class JointPricingConfig:
             raise InvalidParameterError("need a >= 0, b > 0, c >= 0")
 
 
-def joint_pricing_T1(cfg: JointPricingConfig, grid: int = 200) -> ControlSolution:
+def joint_pricing_T1(cfg: JointPricingConfig) -> ControlSolution:
     """Maximize the secondary-class revenue (a*l - l^2 - c*l*W_s(l, p))/b
     over the admitted rate l and the primary priority weight p, subject to
     the primary service level W_p <= S_p and stability l <= mu - lambda_p.
@@ -593,9 +582,9 @@ def joint_pricing_T1(cfg: JointPricingConfig, grid: int = 200) -> ControlSolutio
     earns the same, and this one quotes the secondary its lowest wait).  A
     rate is feasible iff W_p at p = 1, W0/(1 - rho_p), is within S_p:
     l <= 2*S_p*(1 - rho_p)/E[S^2] - lambda_p, clipped to mu - lambda_p.
-    The reduced objective is concave in l: a `grid`-point scan over the
-    feasible rates, golden-section refinement, then p from
-    :func:`rp2_min_weight`.  Delay-blind demand (c = 0, no SLA) takes the
+    The reduced objective is concave in l, so one golden-section search
+    over the feasible rates, to 1e-14 of their range, finds it; p then
+    comes from :func:`rp2_min_weight`.  Delay-blind demand (c = 0, no SLA) takes the
     vertex a/2 clipped to the stable range, with p = 0."""
     s = 1.0 / cfg.mu
     s2 = cfg.sigma2 + s * s
@@ -642,12 +631,7 @@ def joint_pricing_T1(cfg: JointPricingConfig, grid: int = 200) -> ControlSolutio
         while ls_hi > 0.0 and cfg.S_p < waits(ls_hi, 1.0)[0] < _INF:
             ls_hi = max(ls_hi - step, 0.0)
             step *= 2.0
-        l_grid = np.linspace(0.0, ls_hi, grid).tolist()
-        k = int(np.argmax([reduced(x) for x in l_grid]))
-        ls_star, _, calls = _golden_max(
-            reduced, l_grid[max(k - 1, 0)], l_grid[min(k + 1, grid - 1)], 1e-12
-        )
-        calls += grid
+        ls_star, _, calls = _golden_max(reduced, 0.0, ls_hi, 1e-14 * ls_hi)
 
     # None where rounding leaves W_p at p = 1 above S_p, or at an unstable rate
     p_star = rp2_min_weight(r_p, ls_star * s, 0.5 * (lam_p + ls_star) * s2, cfg.S_p, 0)

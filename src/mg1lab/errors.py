@@ -47,7 +47,3 @@ class BisectionError(QueueingError):
 
 class InfeasibleError(QueueingError):
     """An optimization problem has an empty feasible set."""
-
-
-class FixedPointDivergenceError(QueueingError):
-    """The demand/delay fixed-point iteration failed to converge."""

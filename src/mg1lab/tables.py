@@ -16,7 +16,6 @@ from .core import CustomerClassSpec, ServiceDistribution, SystemModel
 from .control import (
     NetworkUtilityConfig,
     approx_utility_gfcfs,
-    network_K,
     network_optimal_utility,
     pp_param_for_utility_approx,
     rp_param_for_utility,
@@ -90,20 +89,11 @@ TABLE2_TOL = (5e-3, 5e-2, 5e-2)
 
 
 def compute_table1_row(lam1: float, lam2: float, d: float, b: float) -> tuple[float, ...]:
-    model = _model(lam1, lam2)
-    cfg = NetworkUtilityConfig(model, d, b, 1.0, 1.0, 1.0, 1.0)
-    K = network_K(model.rho, d, b)
-    rp = rp_param_for_utility(cfg)
-    pp = pp_param_for_utility_approx(cfg)
-    r1, r2 = model.rho_per_class
-    if rp.case == "dynamic":
-        w1 = K
-        w2 = (model.rho * model.w0 / (1.0 - model.rho) / 1.0 - r1 * K) / r2
-    else:
-        # static: class 2 strict priority, class-1 wait at its upper endpoint
-        w2 = model.w0 / (1.0 - r2)
-        w1 = model.w0 / ((1.0 - r2) * (1.0 - model.rho))
-    return K, w1, w2, rp.params["p1"], pp.params["omega1"]
+    cfg = NetworkUtilityConfig(_model(lam1, lam2), d, b, 1.0, 1.0, 1.0, 1.0)
+    opt = network_optimal_utility(cfg)
+    p_rp = rp_param_for_utility(cfg).params["p1"]
+    p_pp = pp_param_for_utility_approx(cfg).params["omega1"]
+    return opt.diagnostics["K"], opt.params["w1"], opt.diagnostics["w2"], p_rp, p_pp
 
 
 def compute_table1() -> list[tuple[float, ...]]:
