@@ -110,6 +110,20 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -
     return (*max(candidates, key=lambda t: t[1]), calls)
 
 
+def _exact_product(a: float, b: float) -> tuple[float, float]:
+    """(p, e) with p the rounded product a*b and p + e exactly a*b: Dekker's
+    product on Veltkamp halves, for |a|, |b| well inside the float range."""
+
+    def halves(x):
+        t = 134217729.0 * x  # 2**27 + 1
+        hi = t - (t - x)
+        return hi, x - hi
+
+    p = a * b
+    (ah, al), (bh, bl) = halves(a), halves(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
 # ---------------------------------------------------------------------------
 # network utility with a delay deadline
 
@@ -402,15 +416,21 @@ def _inverse_demand(a: float, b: float, c: float, T: float, lam: float, w: float
     return theta
 
 
-def _cloud_certify(cfg: CloudConfig, p1: float, r_best: float) -> tuple[float, int]:
+def _cloud_certify(cfg: CloudConfig, p1: float, r_best: float) -> tuple[float, int, int]:
     """Re-solve the demand fixed point on a 21 x 21 price grid at weight p1
     and return (the largest revenue above r_best among the converged,
-    SLA-feasible points, or 0; the number of points whose fixed point hit
-    the iteration cap).  Each point moves its rates a damping fraction
-    toward their demand until the demand is within 1e-10 of them, for at
-    most 1000 steps; the damping starts at 0.3 and halves whenever that
-    residual does not shrink, so an oscillating point is damped until it
-    contracts.  Where no fixed point exists the residual never falls to
+    SLA-feasible points, or 0; the number of points that could beat r_best
+    but whose fixed point hit the step cap; the number of steps run).
+
+    An equilibrium rate never exceeds its cap clip(a_i - b_i*theta_i), so a
+    point whose revenue at the caps is within r_best cannot beat it and is
+    not iterated.  A wait-blind class (c_i = 0) demands its cap whatever the
+    waits, so it starts there, at its fixed point; a delay-sensitive one
+    starts at min(cap, 0.45*mu).  Each point moves its rates a damping
+    fraction toward their demand until the demand is within 1e-10 of them,
+    for at most 1000 steps; the damping starts at 0.3 and halves whenever
+    that residual does not shrink, so an oscillating point is damped until
+    it contracts.  Where no fixed point exists the residual never falls to
     1e-10 and the point is counted."""
     s = 1.0 / cfg.mu
     s2 = (1.0 + cfg.scv) * s * s
@@ -430,11 +450,14 @@ def _cloud_certify(cfg: CloudConfig, p1: float, r_best: float) -> tuple[float, i
         d = base[i] if cfg.c[i] == 0.0 else np.where(np.isfinite(w), base[i] - cfg.c[i] * w, 0.0)
         return np.minimum(np.maximum(d, 0.0), cap[i])
 
-    l1, l2 = np.minimum(cap[0], 0.45 * cfg.mu), np.minimum(cap[1], 0.45 * cfg.mu)
-    running = np.ones((n, n), dtype=bool)
+    l1, l2 = (cap[i] if cfg.c[i] == 0.0 else np.minimum(cap[i], 0.45 * cfg.mu) for i in range(2))
+    contenders = t1 * cap[0] + t2 * cap[1] > r_best
+    running = contenders.copy()
     damping = np.full((n, n), 0.3)
     last = np.full((n, n), _INF)
-    for _ in range(1000):
+    steps = 0
+    while steps < 1000 and running.any():
+        steps += 1
         w1, w2 = waits(l1, l2)
         n1, n2 = demand(0, w1), demand(1, w2)
         step = np.maximum(np.abs(n1 - l1), np.abs(n2 - l2))
@@ -443,12 +466,10 @@ def _cloud_certify(cfg: CloudConfig, p1: float, r_best: float) -> tuple[float, i
         l1 = np.where(running, l1 + damping * (n1 - l1), l1)
         l2 = np.where(running, l2 + damping * (n2 - l2), l2)
         running &= ~(step < 1e-10)
-        if not running.any():
-            break
     w1, w2 = waits(l1, l2)
-    ok = ~running & ~((l1 > 0) & (w1 > cfg.T[0] + 1e-12)) & ~((l2 > 0) & (w2 > cfg.T[1] + 1e-12))
+    ok = contenders & ~running & ~((l1 > 0) & (w1 > cfg.T[0] + 1e-12)) & ~((l2 > 0) & (w2 > cfg.T[1] + 1e-12))
     gain = np.where(ok, t1 * l1 + t2 * l2 - r_best, 0.0)
-    return max(0.0, float(gain.max())), int(running.sum())
+    return max(0.0, float(gain.max())), int(running.sum()), steps
 
 
 def cloud_revenue_opt(cfg: CloudConfig, theta_tol: float = 1e-7) -> ControlSolution:
@@ -472,11 +493,13 @@ def cloud_revenue_opt(cfg: CloudConfig, theta_tol: float = 1e-7) -> ControlSolut
     included) the end with the higher W1, both from :func:`rp2_min_weight`.
 
     The optimum is certified on a 21 x 21 price grid at the chosen p by
-    the damped demand fixed point: `certification_margin` is the largest
-    revenue any converged, SLA-feasible grid point beats the optimum by
-    (0 when none does), and `certification_unconverged` counts the grid
-    points whose fixed point hit its iteration cap and so were not
-    compared."""
+    the damped demand fixed point (:func:`_cloud_certify`), run only at the
+    points whose revenue at the demand caps could beat the optimum:
+    `certification_margin` is the largest revenue any converged,
+    SLA-feasible grid point beats the optimum by (0 when none does),
+    `certification_unconverged` counts the points that could beat it but
+    whose fixed point hit its step cap and so were not compared, and
+    `certification_iterations` is the number of fixed-point steps run."""
     s = 1.0 / cfg.mu
     s2 = (1.0 + cfg.scv) * s * s
     (a1, a2), (b1, b2), (c1, c2), (T1, T2) = cfg.a, cfg.b, cfg.c, cfg.T
@@ -505,12 +528,15 @@ def cloud_revenue_opt(cfg: CloudConfig, theta_tol: float = 1e-7) -> ControlSolut
         return theta1 * l1 + theta2 * l2, p1, (theta1, theta2, w1, w2)
 
     evaluations = 0
+    searched = {}  # l1 -> (l2, revenue) of the inner search
 
     def inner(l1):
         nonlocal evaluations
-        l2, r, calls = _golden_max(lambda x: best_end(l1, x)[0], 0.0, a2, theta_tol * b2)
-        evaluations += calls
-        return l2, r
+        if l1 not in searched:
+            l2, r, calls = _golden_max(lambda x: best_end(l1, x)[0], 0.0, a2, theta_tol * b2)
+            evaluations += calls
+            searched[l1] = l2, r
+        return searched[l1]
 
     l1 = _golden_max(lambda x: inner(x)[1], 0.0, a1, theta_tol * b1)[0]
     # zero rates are always admissible (zero waits, revenue 0), so r_best is finite
@@ -521,7 +547,7 @@ def cloud_revenue_opt(cfg: CloudConfig, theta_tol: float = 1e-7) -> ControlSolut
         for name, w, T, l in (("T1", w1, T1, l1), ("T2", w2, T2, l2))
         if l > 0 and math.isfinite(T) and w > T - 1e-6
     )
-    margin, unconverged = _cloud_certify(cfg, p_best, r_best)
+    margin, unconverged, steps = _cloud_certify(cfg, p_best, r_best)
     return ControlSolution(
         "priced",
         {"theta1": theta1, "theta2": theta2, "p1": p_best},
@@ -535,6 +561,7 @@ def cloud_revenue_opt(cfg: CloudConfig, theta_tol: float = 1e-7) -> ControlSolut
             "evaluations": evaluations,
             "certification_margin": margin,
             "certification_unconverged": unconverged,
+            "certification_iterations": steps,
         },
     )
 
@@ -603,6 +630,24 @@ def joint_pricing_T1(cfg: JointPricingConfig) -> ControlSolution:
         # (primary, secondary) RP waits at secondary rate ls
         return rp2_kernel(r_p, ls * s, 0.5 * (lam_p + ls) * s2, p)
 
+    # W_p at p = 0 reaches S_p where (lam_p + l)*E[S^2]/2 = S_p*(1 - rho_p -
+    # l*s)*(1 - l*s), over S_p the quadratic s^2*l^2 - qb*l + qc = 0.  Its
+    # roots are the kink l_k and a rate past the stable range, so the SLA's
+    # excess W_p(0) - S_p is S_p*s^2*(l - l_k)*(l_far - l)/((1 - rho)*(1 -
+    # l*s)), with no difference of two O(S_p) waits.  S_p may sit within
+    # rounding of the zero-rate wait, where l_k is tiny, so the constant
+    # S_p*(1 - rho_p) - lam_p*E[S^2]/2 is summed from exact parts
+    l_k = l_far = _INF
+    if math.isfinite(cfg.S_p):
+        one_less = 1.0 - r_p  # 1 - rho_p is one_less + ((1 - one_less) - r_p) exactly
+        const = math.fsum((*_exact_product(cfg.S_p, one_less),
+                           *_exact_product(cfg.S_p, (1.0 - one_less) - r_p),
+                           *_exact_product(-0.5 * lam_p, s2)))
+        qb = (2.0 - r_p) * s + 0.5 * s2 / cfg.S_p
+        qc = const / cfg.S_p
+        root = math.sqrt(qb * qb - 4.0 * s * s * qc)
+        l_k, l_far = 2.0 * qc / (qb + root), (qb + root) / (2.0 * s * s)
+
     def reduced(ls):
         # the objective at the best feasible weight, W_p = min(S_p, W_p at
         # p = 0).  By the conservation law ls*W_s is the secondary's strict-
@@ -613,8 +658,9 @@ def joint_pricing_T1(cfg: JointPricingConfig) -> ControlSolution:
         if rho >= 1.0 - 1e-9:  # unstable, as rp2_kernel decides
             return -_INF
         w0 = 0.5 * (lam_p + ls) * s2
-        w_top = w0 / ((1.0 - rho) * (1.0 - ls * s))
-        ls_ws = ls * w0 / (1.0 - ls * s) + lam_p * max(w_top - cfg.S_p, 0.0)
+        excess = (cfg.S_p * s * s * (ls - l_k) * (l_far - ls) / ((1.0 - rho) * (1.0 - ls * s))
+                  if ls > l_k else 0.0)
+        ls_ws = ls * w0 / (1.0 - ls * s) + lam_p * excess
         return (cfg.a * ls - ls * ls - cfg.c * ls_ws) / cfg.b
 
     calls = 0

@@ -102,6 +102,8 @@ def beta_from_integral(model: SystemModel, integral_value: float, branch: str) -
             f"integral {integral_value} outside [0, {upper}] on branch {branch}"
         )
     iv = min(integral_value, upper)
+    if iv == upper:  # the strict-priority end, which rounding would miss
+        return 0.0 if branch == "ubar_neg" else math.inf
     if branch == "ubar_neg":
         num = w0 - (1.0 - rhos[0]) * (1.0 - rho) * iv
         den = w0 + rhos[0] * (1.0 - rho) * iv

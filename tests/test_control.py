@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -450,6 +451,30 @@ class TestCloudEquilibrium:
         cfg = CloudConfig(mu=1.0, scv=1.0, a=(0.8, 0.8), b=(1.5, 1.5), c=(0.0, 0.3))
         assert _cloud_certify(cfg, 0.0, 0.0)[1] > 0
 
+    def test_certification_runs_no_step_where_no_point_can_win(self):
+        # every grid point's revenue at the demand caps is below 1, so none
+        # is iterated, and the points without a fixed point are not counted
+        cfg = CloudConfig(mu=1.0, scv=1.0, a=(0.8, 0.8), b=(1.5, 1.5), c=(0.0, 0.3))
+        assert _cloud_certify(cfg, 0.0, 1.0) == (0.0, 0, 0)
+
+    @pytest.mark.parametrize("cfg", CLOUD_CASES, ids=["c0", "symmetric-T5", "asymmetric-binding-T1", "mixed"])
+    def test_certification_skips_only_points_that_cannot_win(self, cfg):
+        # a point skipped because its revenue at the caps is within r would
+        # have added nothing, so the margin above r is the margin above 0
+        # less r
+        for p1 in (0.0, 0.3, 1.0):
+            m0 = _cloud_certify(cfg, p1, 0.0)[0]
+            for r in (0.0, 0.1 * m0, 0.5 * m0, 0.99 * m0, m0, 2.0 * m0, 0.05, 0.2):
+                assert _cloud_certify(cfg, p1, r)[0] == pytest.approx(max(0.0, m0 - r), abs=1e-10)
+
+    def test_certification_reports_its_steps(self):
+        # wait-blind demand starts at its fixed point, and every c = 0 grid
+        # point is within the optimum sum(a^2/4b), so at most one step runs
+        c0 = cloud_revenue_opt(CLOUD_CASES[0])
+        assert c0.diagnostics["certification_iterations"] <= 2
+        sym = cloud_revenue_opt(CLOUD_CASES[1])
+        assert 0 < sym.diagnostics["certification_iterations"] < 1000
+
 
 def _joint_grid_max(cfg, n=400):
     """Largest revenue on an n x n grid of (secondary rate, weight) that
@@ -468,6 +493,42 @@ def _joint_grid_max(cfg, n=400):
         delay = cfg.c * ls * np.where(ls > 0, w_sec, 0.0) if cfg.c else 0.0
         obj = (cfg.a * ls - ls**2 - delay) / cfg.b
     return float(np.max(np.where(np.isfinite(obj) & (w_pri <= cfg.S_p + 1e-12), obj, -np.inf)))
+
+
+def _joint_exact_reduced(cfg, ls):
+    """The joint revenue at rate ls and the best weight meeting the SLA, in
+    exact rational arithmetic from the float inputs (needs mu = 1)."""
+    lam_p, ls, s2 = Fraction(cfg.lambda_p), Fraction(ls), Fraction(cfg.sigma2 + 1.0)
+    w0 = (lam_p + ls) * s2 / 2
+    w_top = w0 / ((1 - lam_p - ls) * (1 - ls))  # W_p at p = 0
+    ls_ws = ls * w0 / (1 - ls) + lam_p * max(w_top - Fraction(cfg.S_p), 0)
+    return (Fraction(cfg.a) * ls - ls * ls - Fraction(cfg.c) * ls_ws) / Fraction(cfg.b)
+
+
+def _joint_exact_max(cfg):
+    """Exact maximum of :func:`_joint_exact_reduced` over the float rates
+    keeping W_p at p = 1 within S_p: golden section with exact
+    comparisons, down to a few ulps."""
+    lam_p, s2 = Fraction(cfg.lambda_p), Fraction(cfg.sigma2 + 1.0)
+    lo, hi = 0.0, float(2 * Fraction(cfg.S_p) * (1 - lam_p) / s2 - lam_p)
+    while (lam_p + Fraction(hi)) * s2 / 2 / (1 - lam_p) > Fraction(cfg.S_p):
+        hi = math.nextafter(hi, 0.0)
+    def f(x):
+        return _joint_exact_reduced(cfg, x)
+
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - g * (hi - lo), lo + g * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while hi - lo > 4.0 * math.ulp(hi):
+        if f1 >= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - g * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + g * (hi - lo)
+            f2 = f(x2)
+    return max(f1, f2, f(0.0), f(hi))
 
 
 @st.composite
@@ -550,6 +611,18 @@ class TestJointPricing:
         best = float(np.max(np.where(w_pri <= cfg.S_p, obj, -np.inf)))
         assert sol.objective >= best - 1e-12 * max(1.0, abs(best))
         assert sol.diagnostics["W_p"] <= cfg.S_p
+
+    def test_sla_just_above_zero_rate_wait(self):
+        # S_p is 1.1e-7 relative above the primary's wait at zero secondary
+        # rate, so the optimal rate is about 2e-8 and the revenue about 1e-9.
+        # An SLA excess W_p(0) - S_p formed as a difference of two O(1) waits
+        # carries rounding of about 1e-16, enough to misrank rates on this
+        # scale by 2e-7 of the revenue; the returned rate must earn the exact
+        # optimum to 1e-12
+        cfg = JointPricingConfig(0.62, 1.0, 1.1, 1.7131580829238255, 1.7, 2.6, 2.4)
+        sol = joint_pricing_T1(cfg)
+        best = _joint_exact_max(cfg)
+        assert _joint_exact_reduced(cfg, sol.params["lambda_s"]) >= best * (1 - Fraction(1, 10**12))
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(joint_configs())

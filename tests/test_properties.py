@@ -1,9 +1,11 @@
 """Property tests of the paper's equivalences on random stable models.
 
 Each example draws a model with 2-5 classes (mixed service kinds, some
-classes possibly without arrivals) and a seed, and runs the simulator for
-a few thousand jobs.  Hypothesis runs derandomized and without an example
-database, so every run tries the same examples.
+classes possibly without arrivals).  The simulator properties add a seed
+and run a few thousand jobs; the analytic ones check the conservation law
+for the N-class waits and the round trips of the beta, p1, busy-period
+integral and segment-weight maps.  Hypothesis runs derandomized and
+without an example database, so every run tries the same examples.
 """
 
 import math
@@ -23,13 +25,23 @@ from mg1lab import (
     SimConfig,
     Strict,
     SystemModel,
+    alpha_from_p1,
+    beta_from_integral,
+    beta_from_p1,
     busy_period_boundaries,
+    conservation_residual,
+    ddp_waits,
+    integral_from_beta,
+    p1_from_alpha,
+    p1_from_beta,
+    rp_waits,
     run_sim,
     service_start_sequence,
 )
 
 JOBS = 3_000
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+ANALYTIC = settings(PROPERTY, max_examples=300)  # no simulation: cheap examples
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -48,13 +60,13 @@ def services(draw):
 
 
 @st.composite
-def models(draw):
-    n = draw(st.integers(2, 5))
+def models(draw, sizes=st.integers(2, 5), empty=True):
+    """Stable models of `sizes` classes at load 0.2-0.9; with `empty`, some
+    classes may have no arrivals."""
+    n = draw(sizes)
     rho = draw(st.floats(0.2, 0.9))
-    weights = draw(
-        st.lists(st.one_of(st.just(0.0), st.floats(0.05, 1.0)), min_size=n, max_size=n)
-        .filter(lambda w: sum(w) > 0)
-    )
+    share = st.one_of(st.just(0.0), st.floats(0.05, 1.0)) if empty else st.floats(0.05, 1.0)
+    weights = draw(st.lists(share, min_size=n, max_size=n).filter(lambda w: sum(w) > 0))
     dists = [draw(services()) for _ in range(n)]
     total = sum(weights)
     return SystemModel(tuple(
@@ -125,3 +137,27 @@ def test_run_sim_repeats_bit_identical(data, m, seed):
     cfg = SimConfig(seed=seed, measured_jobs=1_000, warmup_jobs=500, replications=2)
     a, b = run_sim(m, disc, cfg), run_sim(m, disc, cfg)
     assert (a.mean, a.ci_halfwidth_95, a.sample_count) == (b.mean, b.ci_halfwidth_95, b.sample_count)
+
+
+@ANALYTIC
+@given(models(), st.data())
+def test_n_class_waits_conserve_work(m, data):
+    n = m.n_classes
+    rates = data.draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n).filter(any))
+    weights = data.draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    assert abs(conservation_residual(m, ddp_waits(m, rates))) < 1e-10
+    assert abs(conservation_residual(m, rp_waits(m, weights))) < 1e-10
+
+
+@ANALYTIC
+@given(models(st.just(2), empty=False), st.floats(0.0, 1.0))
+def test_segment_maps_round_trip(m, alpha):
+    # alpha -> p1 -> beta -> busy-period integral -> beta -> p1 -> alpha
+    p1 = p1_from_alpha(m, alpha)
+    beta = beta_from_p1(m.rho, p1)
+    integral, branch = integral_from_beta(m, beta)
+    back = beta_from_integral(m, integral, branch)
+    assert back == beta or math.isclose(back, beta, rel_tol=1e-9, abs_tol=1e-12)
+    p1_back = p1_from_beta(m.rho, back)
+    assert math.isclose(p1_back, p1, abs_tol=1e-12)
+    assert math.isclose(alpha_from_p1(m, p1_back), alpha, abs_tol=1e-9)
