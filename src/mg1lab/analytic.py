@@ -15,11 +15,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (
+    _LOAD_LIMIT,
     SystemModel,
     WaitVector,
-    derive_loads,
     gfcfs_wait,
     strict_priority_waits_2class,
+    wait_bounds,
 )
 from .errors import (
     IntegralOutOfRangeError,
@@ -27,9 +28,6 @@ from .errors import (
     NegativeDiscriminantError,
     SingularSystemError,
 )
-
-#: slack for range checks on externally supplied integral values
-_RANGE_TOL = 1e-9
 
 
 def _ratio(x: float, y: float) -> float:
@@ -56,9 +54,9 @@ def ddp_waits(model: SystemModel, b: Sequence[float]) -> WaitVector:
 
     order = sorted(range(n), key=lambda i: b[i])
     bs = [b[i] for i in order]
-    rhos_all, rho, w0 = derive_loads(model)
+    rhos_all = model.rho_per_class
     rhos = [rhos_all[i] for i in order]
-    ew = w0 / (1.0 - rho)
+    ew = gfcfs_wait(model)
 
     w_sorted: list[float] = []
     for k in range(n):
@@ -83,8 +81,8 @@ def ddp2_waits(model: SystemModel, beta: float) -> WaitVector:
     model.require_two_classes()
     if not (beta >= 0):
         raise InvalidParameterError(f"beta must be in [0, +inf], got {beta}")
-    rhos, rho, w0 = derive_loads(model)
-    r1, r2 = rhos
+    r1, r2 = model.rho_per_class
+    rho, w0 = model.rho, model.w0
     if beta <= 1.0:
         den = (1.0 - rho) * (1.0 - r1 * (1.0 - beta))
         w1 = w0 * (1.0 - rho * (1.0 - beta)) / den
@@ -106,7 +104,7 @@ def rp_waits(model: SystemModel, p: Sequence[float]) -> WaitVector:
     if any(not (x > 0 and math.isfinite(x)) for x in p):
         raise InvalidParameterError("relative-priority parameters must be positive")
 
-    rhos, rho, w0 = derive_loads(model)
+    rhos, w0 = model.rho_per_class, model.w0
     a = np.zeros((n, n))
     for k in range(n):
         tau_k = sum(rhos[j] * p[j] / (p[k] + p[j]) for j in range(n))
@@ -130,19 +128,20 @@ def rp2_kernel(r1, r2, w0, p1):
     class loads r1, r2, the residual work w0 and the class-1 weight p1.
 
     Takes floats or arrays that broadcast together; floats stay in plain
-    Python arithmetic.  Where the total load r1 + r2 is within 1e-9 of 1
-    or above, both waits are +inf.  Every factor is 1 - rho or a sum of
-    nonnegative terms, so none is formed by cancellation near rho = 1.
+    Python arithmetic.  Where the total load r1 + r2 is within
+    `STABILITY_MARGIN` of 1 or above, both waits are +inf.  Every factor is
+    1 - rho or a sum of nonnegative terms, so none is formed by cancellation
+    near rho = 1.
     """
     rho = r1 + r2
     p2 = 1.0 - p1
     den = (1.0 - rho) * (p1 * (1.0 - r1) + p2 * (1.0 - r2))
     if isinstance(rho, np.ndarray) or isinstance(p1, np.ndarray):
-        stable = rho < 1.0 - 1e-9
+        stable = rho < _LOAD_LIMIT
         with np.errstate(divide="ignore", invalid="ignore"):
             return (np.where(stable, (1.0 - rho + rho * p2) * w0 / den, math.inf),
                     np.where(stable, (1.0 - rho + rho * p1) * w0 / den, math.inf))
-    if rho >= 1.0 - 1e-9:
+    if rho >= _LOAD_LIMIT:
         return math.inf, math.inf
     return (1.0 - rho + rho * p2) * w0 / den, (1.0 - rho + rho * p1) * w0 / den
 
@@ -220,8 +219,8 @@ def pp2_waits_approx(model: SystemModel, omega1: float) -> WaitVector:
     if omega1 == 0.0:
         return strict_priority_waits_2class(model, 1)
 
-    rhos, rho, w0 = derive_loads(model)
-    r1, r2 = rhos
+    r1, r2 = model.rho_per_class
+    w0 = model.w0
     lam1 = model.classes[0].lam
     lam2 = model.classes[1].lam
     s1 = model.classes[0].service.mean
@@ -240,10 +239,28 @@ def pp2_waits_approx(model: SystemModel, omega1: float) -> WaitVector:
 def expected_clearing_time(model: SystemModel, klass: int) -> float:
     """E(T_k(W)) = W0 / ((1-rho)(1-rho_k)): mean time to clear the stationary
     workload when only class k keeps arriving.  Upper limit of the
-    busy-period integral on the branch favouring class k."""
+    busy-period integral on the branch favouring class k, and the wait of
+    the other class under strict priority to class k."""
+    if klass not in (0, 1):
+        raise InvalidParameterError(f"klass must be 0 or 1, got {klass}")
+    return wait_bounds(model)[1 - klass][1]
+
+
+def _integral_in_range(model: SystemModel, integral_value: float, branch: str) -> tuple[float, float]:
+    """(the integral clamped to [0, upper], upper) on branch "neg" (class 1
+    favoured) or "nonneg" (class 2 favoured), upper being the branch's
+    expected clearing time.  Values within 1e-9 + 1e-12*upper outside that
+    range are rounding and are clamped; any further out raise."""
     model.require_two_classes()
-    rhos, rho, w0 = derive_loads(model)
-    return w0 / ((1.0 - rho) * (1.0 - rhos[klass]))
+    if branch not in ("neg", "nonneg"):
+        raise InvalidParameterError(f"branch must be 'neg' or 'nonneg', got {branch!r}")
+    upper = expected_clearing_time(model, 1 if branch == "nonneg" else 0)
+    slack = 1e-9 + 1e-12 * upper
+    if not (-slack <= integral_value <= upper + slack):
+        raise IntegralOutOfRangeError(
+            f"integral {integral_value} outside [0, {upper}] on branch {branch}"
+        )
+    return min(max(integral_value, 0.0), upper), upper
 
 
 def edd2_waits_from_integral(
@@ -257,19 +274,9 @@ def edd2_waits_from_integral(
     gives global FCFS; the branch's upper limit gives the strict-priority
     endpoint.
     """
-    model.require_two_classes()
-    if sign_of_ubar not in ("nonneg", "neg"):
-        raise InvalidParameterError(f"sign_of_ubar must be 'nonneg' or 'neg', got {sign_of_ubar!r}")
-    rhos, rho, w0 = derive_loads(model)
-    r1, r2 = rhos
+    integral_value, _ = _integral_in_range(model, integral_value, sign_of_ubar)
+    r1, r2 = model.rho_per_class
     ew = gfcfs_wait(model)
-    favoured = 1 if sign_of_ubar == "nonneg" else 0
-    upper = expected_clearing_time(model, favoured)
-    if not (-_RANGE_TOL <= integral_value <= upper + _RANGE_TOL):
-        raise IntegralOutOfRangeError(
-            f"integral {integral_value} outside [0, {upper}] for branch {sign_of_ubar}"
-        )
-    integral_value = min(max(integral_value, 0.0), upper)
     if sign_of_ubar == "nonneg":
         w1 = ew + r2 * integral_value
         w2 = ew - r1 * integral_value

@@ -23,6 +23,7 @@ from typing import Optional
 
 from . import __version__
 from .core import (
+    ServiceDistribution,
     SystemModel,
     WaitVector,
     conservation_residual,
@@ -104,19 +105,37 @@ def _emit(args: argparse.Namespace, payload: dict, csv_text: Optional[str] = Non
         sys.stdout.write(text)
 
 
+def _from_document(build):
+    """build(), which reads a config document: a missing key or a value of
+    the wrong type or shape there is a config error (exit 2), not a
+    traceback.  Only reading the document is guarded; the solvers run
+    outside, so an error of theirs is never reported as a config error."""
+    try:
+        return build()
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise _MalformedValueError(f"malformed config document: {type(exc).__name__}: {exc}") from None
+
+
+def _load_config_doc(args: argparse.Namespace, missing: str = "--config is required") -> dict:
+    if not args.config:
+        raise InvalidParameterError(missing)
+    with open(args.config) as fh:
+        doc = _from_document(lambda: json.load(fh))
+    if not isinstance(doc, dict):
+        raise _MalformedValueError("the config document must be a JSON object")
+    return doc
+
+
 def _load_model(args: argparse.Namespace) -> SystemModel:
-    if not args.config:
-        raise InvalidParameterError("--config with a model document is required")
-    with open(args.config) as fh:
-        doc = json.load(fh)
-    return SystemModel.from_json(doc["model"] if "model" in doc else doc)
+    doc = _load_config_doc(args, "--config with a model document is required")
+    return _from_document(lambda: SystemModel.from_json(doc.get("model", doc)))
 
 
-def _load_config_doc(args: argparse.Namespace) -> dict:
-    if not args.config:
-        raise InvalidParameterError("--config is required")
-    with open(args.config) as fh:
-        return json.load(fh)
+def _pair(value) -> tuple[float, float]:
+    """A config document's two-entry list, as floats."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise _MalformedValueError(f"expected a list of two numbers, got {value!r}")
+    return float(value[0]), float(value[1])
 
 
 def _flag(args: argparse.Namespace, name: str, alternative: str = ""):
@@ -192,6 +211,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     model = _load_model(args)
     disc = _discipline_from_args(args)
+    if args.seed < 0:
+        raise _MalformedValueError(f"--seed must be >= 0, got {args.seed}")
     cfg = SimConfig(
         seed=args.seed,
         measured_jobs=args.jobs,
@@ -236,8 +257,7 @@ def cmd_map(args: argparse.Namespace) -> int:
     elif src == "rp":
         beta = beta_from_p1(rho, value)
     elif src == "edd":
-        branch = "ubar_nonneg" if args.sign == "nonneg" else "ubar_neg"
-        beta = beta_from_integral(model, value, branch)
+        beta = beta_from_integral(model, value, args.sign)
     else:
         raise InvalidParameterError(f"mapping from {src!r} is not analytic; simulate instead")
     if dst == "ddp":
@@ -260,10 +280,12 @@ def cmd_map(args: argparse.Namespace) -> int:
 
 
 def cmd_region(args: argparse.Namespace) -> int:
+    n = args.points
+    if n < 2:
+        raise _MalformedValueError(f"--points must be at least 2, got {n}")
     model = _load_model(args)
     (lo1, hi1), (lo2, hi2) = wait_bounds(model)
     rows = []
-    n = args.points
     for i in range(n):
         alpha = i / (n - 1)
         w = segment_point(model, alpha)
@@ -291,35 +313,10 @@ def cmd_tables(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_optimize(args: argparse.Namespace) -> int:
-    doc = _load_config_doc(args)
-    problem = args.problem
-    if problem == "fairness":
-        model = SystemModel.from_json(doc["model"])
-        a1, a2, w = minmax_fair_point(model)
-        payload = {"solution": {"alpha1": a1, "alpha2": a2, "wait": w}}
-    elif problem == "cmu":
-        model = SystemModel.from_json(doc["model"])
-        sol = cmu_rule_2class(model, float(doc["c1"]), float(doc["c2"]))
-        payload = {"solution": json.loads(sol.to_json())}
-    elif problem == "network":
-        model = SystemModel.from_json(doc["model"])
-        cfg = NetworkUtilityConfig(
-            model, float(doc["d"]), float(doc["b"]),
-            float(doc["v1"]), float(doc["v2"]), float(doc["v3"]), float(doc["v4"]),
-        )
-        payload = {
-            "solution": {
-                "p_rp": rp_param_for_utility(cfg).params["p1"],
-                "omega_pp": pp_param_for_utility_approx(cfg).params["omega1"],
-                "utility_opt": network_optimal_utility(cfg).objective,
-                "utility_gfcfs": approx_utility_gfcfs(cfg),
-            }
-        }
-    elif problem == "hpc":
-        from .core import ServiceDistribution
-
-        cfg = HpcConfig(
+def _optimize_input(problem: str, doc: dict):
+    """The solver input of an optimize problem, read from its config document."""
+    if problem == "hpc":
+        return HpcConfig(
             lambda_P=float(doc["lambda_P"]),
             lambda_R=float(doc["lambda_R"]),
             service=ServiceDistribution.from_json(doc["service"]),
@@ -329,20 +326,17 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             w2=float(doc["w2"]),
             S_R=float(doc["S_R"]) if "S_R" in doc else None,
         )
-        sol = hpc_revenue_constrained(cfg) if cfg.S_R is not None else hpc_utility_opt(cfg)
-        payload = {"solution": json.loads(sol.to_json())}
-    elif problem == "cloud":
-        cfg = CloudConfig(
+    if problem == "cloud":
+        return CloudConfig(
             mu=float(doc["mu"]),
             scv=float(doc["scv"]),
-            a=tuple(doc["a"]),
-            b=tuple(doc["b"]),
-            c=tuple(doc["c"]),
-            T=tuple(doc.get("T", (math.inf, math.inf))),
+            a=_pair(doc["a"]),
+            b=_pair(doc["b"]),
+            c=_pair(doc["c"]),
+            T=_pair(doc.get("T", [math.inf, math.inf])),
         )
-        payload = {"solution": json.loads(cloud_revenue_opt(cfg).to_json())}
-    elif problem == "pricing":
-        cfg = JointPricingConfig(
+    if problem == "pricing":
+        return JointPricingConfig(
             lambda_p=float(doc["lambda_p"]),
             mu=float(doc["mu"]),
             sigma2=float(doc["sigma2"]),
@@ -351,9 +345,43 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             b=float(doc["b"]),
             c=float(doc["c"]),
         )
-        payload = {"solution": json.loads(joint_pricing_T1(cfg).to_json())}
+    model = SystemModel.from_json(doc["model"])
+    if problem == "cmu":
+        return model, float(doc["c1"]), float(doc["c2"])
+    if problem == "network":
+        return NetworkUtilityConfig(
+            model, float(doc["d"]), float(doc["b"]),
+            float(doc["v1"]), float(doc["v2"]), float(doc["v3"]), float(doc["v4"]),
+        )
+    return model  # fairness
+
+
+def cmd_optimize(args: argparse.Namespace) -> int:
+    doc = _load_config_doc(args)
+    problem = args.problem
+    cfg = _from_document(lambda: _optimize_input(problem, doc))
+    if problem == "fairness":
+        a1, a2, w = minmax_fair_point(cfg)
+        payload = {"solution": {"alpha1": a1, "alpha2": a2, "wait": w}}
+    elif problem == "network":
+        payload = {
+            "solution": {
+                "p_rp": rp_param_for_utility(cfg).params["p1"],
+                "omega_pp": pp_param_for_utility_approx(cfg).params["omega1"],
+                "utility_opt": network_optimal_utility(cfg).objective,
+                "utility_gfcfs": approx_utility_gfcfs(cfg),
+            }
+        }
     else:
-        raise InvalidParameterError(f"unknown problem {problem!r}")
+        if problem == "cmu":
+            sol = cmu_rule_2class(*cfg)
+        elif problem == "hpc":
+            sol = hpc_revenue_constrained(cfg) if cfg.S_R is not None else hpc_utility_opt(cfg)
+        elif problem == "cloud":
+            sol = cloud_revenue_opt(cfg)
+        else:
+            sol = joint_pricing_T1(cfg)
+        payload = {"solution": json.loads(sol.to_json())}
     _emit(args, payload)
     return EXIT_OK
 
@@ -439,7 +467,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (OSError, json.JSONDecodeError, KeyError, _MalformedValueError) as exc:
+    except (OSError, _MalformedValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except QueueingError as exc:

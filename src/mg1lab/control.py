@@ -17,6 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (
+    _LOAD_LIMIT,
     CustomerClassSpec,
     ServiceDistribution,
     SystemModel,
@@ -181,15 +182,25 @@ def tail_prob_approx(rho: float, mean_wait: float, x: float) -> float:
     return min(1.0, max(0.0, rho * math.exp(-rho * x / mean_wait)))
 
 
+def _deadline_case(cfg: NetworkUtilityConfig) -> tuple[float, str]:
+    """(K, case): "dynamic" where K lies in the achievable class-1 wait
+    range, "deadline-slack" above it and "deadline-unmeetable" below it."""
+    K = network_K(cfg.model.rho, cfg.d, cfg.b)
+    lo, hi = wait_bounds(cfg.model)[0]
+    if K > hi:
+        return K, "deadline-slack"
+    if K < lo:
+        return K, "deadline-unmeetable"
+    return K, "dynamic"
+
+
 def rp_param_for_utility(cfg: NetworkUtilityConfig) -> ControlSolution:
     """Relative-priority weight p1 maximizing the network utility; the
     dynamic case pins the class-1 mean wait to K, the static cases hand
     class 2 strict priority."""
     model = cfg.model
-    K = network_K(model.rho, cfg.d, cfg.b)
-    lo, hi = wait_bounds(model)[0]
-    if not lo <= K <= hi:
-        case = "deadline-slack" if K > hi else "deadline-unmeetable"
+    K, case = _deadline_case(cfg)
+    if case != "dynamic":
         return ControlSolution(case, {"p1": 0.0}, diagnostics={"K": K})
     # None only where rounding leaves the strict-priority wait above K = lo
     p1 = rp2_min_weight(*model.rho_per_class, model.w0, K, 0)
@@ -202,10 +213,8 @@ def pp_param_for_utility_approx(cfg: NetworkUtilityConfig) -> ControlSolution:
     model = cfg.model
     r1, r2 = model.rho_per_class
     rho, w0 = model.rho, model.w0
-    K = network_K(rho, cfg.d, cfg.b)
-    lo, hi = wait_bounds(model)[0]
-    if not lo <= K <= hi:
-        case = "deadline-slack" if K > hi else "deadline-unmeetable"
+    K, case = _deadline_case(cfg)
+    if case != "dynamic":
         return ControlSolution(case, {"omega1": 0.0}, diagnostics={"K": K})
     L = math.log(rho / cfg.b)
     S = (rho * (cfg.d - 1.0) * (1.0 - r1) - w0 * L) / (rho * (cfg.d - 1.0) + (1.0 - w0) * L)
@@ -222,16 +231,15 @@ def network_optimal_utility(cfg: NetworkUtilityConfig) -> ControlSolution:
     optimal wait pair is params["w1"] and diagnostics["w2"]."""
     model = cfg.model
     r1, r2 = model.rho_per_class
-    K = network_K(model.rho, cfg.d, cfg.b)
-    (lo, hi), (w2_strict, _) = wait_bounds(model)
-    if lo <= K <= hi:
-        case, w1 = "dynamic", K
+    K, case = _deadline_case(cfg)
+    if case == "dynamic":
+        w1 = K
         w2 = (model.rho * gfcfs_wait(model) - r1 * K) / r2  # the conservation law
     else:
         # static: class 2 strict priority, class 1 at its upper endpoint
-        case = "deadline-slack" if K > hi else "deadline-unmeetable"
-        w1, w2 = hi, w2_strict
-    reward = cfg.v1 if K >= lo else -cfg.v2  # deadline met or declared missed
+        (_, w1), (w2, _) = wait_bounds(model)
+    # deadline met or declared missed
+    reward = -cfg.v2 if case == "deadline-unmeetable" else cfg.v1
     util = reward + cfg.v3 - cfg.v4 * (1.0 + w2)
     return ControlSolution(case, {"w1": w1}, objective=util,
                            diagnostics={"K": K, "w2": w2})
@@ -391,6 +399,8 @@ class CloudConfig:
     T: tuple[float, float] = (_INF, _INF)
 
     def __post_init__(self):
+        if any(len(v) != 2 for v in (self.a, self.b, self.c, self.T)):
+            raise InvalidParameterError("a, b, c and T need one entry per class, two in all")
         if self.mu <= 0:
             raise InvalidParameterError("mu must be positive")
         if self.scv < 0:
@@ -655,7 +665,7 @@ def joint_pricing_T1(cfg: JointPricingConfig) -> ControlSolution:
         # the primary's p = 0 wait the SLA takes back; this form has no
         # cancellation of large terms near rho = 1
         rho = r_p + ls * s
-        if rho >= 1.0 - 1e-9:  # unstable, as rp2_kernel decides
+        if rho >= _LOAD_LIMIT:  # unstable, as rp2_kernel decides
             return -_INF
         w0 = 0.5 * (lam_p + ls) * s2
         excess = (cfg.S_p * s * s * (ls - l_k) * (l_far - ls) / ((1.0 - rho) * (1.0 - ls * s))

@@ -21,6 +21,8 @@ from .errors import (
 
 #: Loads closer to 1 than this are rejected so W0/(1-rho) stays meaningful.
 STABILITY_MARGIN = 1e-9
+#: the total load at and above which a system is unstable
+_LOAD_LIMIT = 1.0 - STABILITY_MARGIN
 
 SERVICE_KINDS = ("deterministic", "exponential", "erlang-k", "balanced-hyperexponential-2")
 
@@ -117,7 +119,7 @@ class SystemModel:
         if len(classes) < 1:
             raise InvalidParameterError("at least one customer class is required")
         object.__setattr__(self, "classes", classes)
-        if self.rho >= 1.0 - STABILITY_MARGIN:
+        if self.rho >= _LOAD_LIMIT:
             raise UnstableSystemError(f"total load rho = {self.rho:.12g} >= 1")
 
     @property
@@ -200,11 +202,6 @@ def _finite(obj):
     return obj
 
 
-def derive_loads(model: SystemModel) -> tuple[tuple[float, ...], float, float]:
-    """Return (rho_i per class, total rho, W0)."""
-    return model.rho_per_class, model.rho, model.w0
-
-
 def conservation_residual(model: SystemModel, waits: WaitVector) -> float:
     """Signed residual sum_i rho_i w_i - rho W0 / (1 - rho).
 
@@ -215,8 +212,8 @@ def conservation_residual(model: SystemModel, waits: WaitVector) -> float:
         raise DimensionMismatchError(
             f"wait vector has {len(waits)} entries for {model.n_classes} classes"
         )
-    rhos, rho, w0 = derive_loads(model)
-    return sum(r * x for r, x in zip(rhos, waits.w)) - rho * w0 / (1.0 - rho)
+    rho = model.rho
+    return sum(r * x for r, x in zip(model.rho_per_class, waits.w)) - rho * model.w0 / (1.0 - rho)
 
 
 def gfcfs_wait(model: SystemModel) -> float:
@@ -224,17 +221,26 @@ def gfcfs_wait(model: SystemModel) -> float:
     return model.w0 / (1.0 - model.rho)
 
 
+def wait_bounds(model: SystemModel) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Per-class closed intervals of achievable mean waits.  The ends are the
+    two strict-priority wait vectors, (lo1, hi2) with class 1 served first
+    and (hi1, lo2) with class 2 first: the one place they are computed."""
+    model.require_two_classes()
+    r1, r2 = model.rho_per_class
+    rho, w0 = model.rho, model.w0
+    lo1 = w0 / (1.0 - r1)
+    hi1 = w0 / ((1.0 - rho) * (1.0 - r2))
+    lo2 = w0 / (1.0 - r2)
+    hi2 = w0 / ((1.0 - rho) * (1.0 - r1))
+    return (lo1, hi1), (lo2, hi2)
+
+
 def strict_priority_waits_2class(model: SystemModel, first: int) -> WaitVector:
     """Strict-priority mean waits for two classes, `first` served first (0 or 1)."""
-    model.require_two_classes()
+    (lo1, hi1), (lo2, hi2) = wait_bounds(model)
     if first not in (0, 1):
         raise InvalidParameterError(f"first must be 0 or 1, got {first}")
-    rhos, rho, w0 = derive_loads(model)
-    hi, lo = (0, 1) if first == 0 else (1, 0)
-    w = [0.0, 0.0]
-    w[hi] = w0 / (1.0 - rhos[hi])
-    w[lo] = w0 / ((1.0 - rhos[hi]) * (1.0 - rho))
-    return WaitVector(w)
+    return WaitVector((lo1, hi2) if first == 0 else (hi1, lo2))
 
 
 def achievable_segment(model: SystemModel) -> AchievableSegment:
@@ -246,20 +252,7 @@ def achievable_segment(model: SystemModel) -> AchievableSegment:
 
 def segment_point(model: SystemModel, alpha: float) -> WaitVector:
     """Convex combination alpha*endpoint_12 + (1-alpha)*endpoint_21."""
-    # endpoint_12 is (lo1, hi2) and endpoint_21 is (hi1, lo2), by the same
-    # expressions as strict_priority_waits_2class
     (lo1, hi1), (lo2, hi2) = wait_bounds(model)
     if not (0.0 <= alpha <= 1.0):
         raise InvalidParameterError(f"alpha must lie in [0, 1], got {alpha}")
     return WaitVector([alpha * lo1 + (1.0 - alpha) * hi1, alpha * hi2 + (1.0 - alpha) * lo2])
-
-
-def wait_bounds(model: SystemModel) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Per-class closed intervals of achievable mean waits (strict-priority bounds)."""
-    model.require_two_classes()
-    rhos, rho, w0 = derive_loads(model)
-    lo1 = w0 / (1.0 - rhos[0])
-    hi1 = w0 / ((1.0 - rho) * (1.0 - rhos[1]))
-    lo2 = w0 / (1.0 - rhos[1])
-    hi2 = w0 / ((1.0 - rho) * (1.0 - rhos[0]))
-    return (lo1, hi1), (lo2, hi2)

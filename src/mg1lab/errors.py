@@ -37,13 +37,5 @@ class OracleRequiredError(QueueingError):
     """A simulation oracle is required for this scheme but none was supplied."""
 
 
-class BisectionError(QueueingError):
-    """A parameter search failed to converge within the allowed number of oracle calls."""
-
-    def __init__(self, message, iterations=None):
-        super().__init__(message)
-        self.iterations = iterations
-
-
 class InfeasibleError(QueueingError):
     """An optimization problem has an empty feasible set."""

@@ -14,14 +14,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .analytic import expected_clearing_time, rp2_min_weight, rp2_waits
-from .core import SystemModel, derive_loads, segment_point, wait_bounds
-from .errors import (
-    BisectionError,
-    IntegralOutOfRangeError,
-    InvalidParameterError,
-    OracleRequiredError,
-)
+from .analytic import _integral_in_range, expected_clearing_time, rp2_min_weight, rp2_waits
+from .core import SystemModel, segment_point, wait_bounds
+from .errors import InvalidParameterError, OracleRequiredError
 
 SCHEMES = ("ddp", "rp", "edd", "holpj", "pp")
 
@@ -88,23 +83,15 @@ def p1_from_beta(rho: float, beta: float) -> float:
 def beta_from_integral(model: SystemModel, integral_value: float, branch: str) -> float:
     """Map a busy-period integral value to the equivalent beta.
 
-    branch "ubar_neg" (class 1 favoured) yields beta in [0, 1]; branch
-    "ubar_nonneg" yields beta in [1, +inf].
+    branch "neg" (class 1 favoured) yields beta in [0, 1]; branch "nonneg"
+    yields beta in [1, +inf].  Both the branches and the accepted range are
+    those of :func:`~mg1lab.analytic.edd2_waits_from_integral`.
     """
-    model.require_two_classes()
-    if branch not in ("ubar_neg", "ubar_nonneg"):
-        raise InvalidParameterError(f"unknown branch {branch!r}")
-    rhos, rho, w0 = derive_loads(model)
-    favoured = 0 if branch == "ubar_neg" else 1
-    upper = expected_clearing_time(model, favoured)
-    if not (0.0 <= integral_value <= upper * (1.0 + 1e-12) + 1e-15):
-        raise IntegralOutOfRangeError(
-            f"integral {integral_value} outside [0, {upper}] on branch {branch}"
-        )
-    iv = min(integral_value, upper)
+    iv, upper = _integral_in_range(model, integral_value, branch)
     if iv == upper:  # the strict-priority end, which rounding would miss
-        return 0.0 if branch == "ubar_neg" else math.inf
-    if branch == "ubar_neg":
+        return 0.0 if branch == "neg" else math.inf
+    rhos, rho, w0 = model.rho_per_class, model.rho, model.w0
+    if branch == "neg":
         num = w0 - (1.0 - rhos[0]) * (1.0 - rho) * iv
         den = w0 + rhos[0] * (1.0 - rho) * iv
         return max(num, 0.0) / den
@@ -120,14 +107,14 @@ def integral_from_beta(model: SystemModel, beta: float) -> tuple[float, str]:
     model.require_two_classes()
     if not (beta >= 0):
         raise InvalidParameterError(f"beta must be in [0, +inf], got {beta}")
-    rhos, rho, w0 = derive_loads(model)
+    rhos, rho, w0 = model.rho_per_class, model.rho, model.w0
     if beta <= 1.0:
         iv = w0 * (1.0 - beta) / ((1.0 - rho) * (1.0 - rhos[0] * (1.0 - beta)))
-        return iv, "ubar_neg"
+        return iv, "neg"
     if math.isinf(beta):
-        return expected_clearing_time(model, 1), "ubar_nonneg"
+        return expected_clearing_time(model, 1), "nonneg"
     iv = w0 * (beta - 1.0) / ((1.0 - rho) * (rhos[1] + beta * (1.0 - rhos[1])))
-    return iv, "ubar_nonneg"
+    return iv, "nonneg"
 
 
 def p1_from_alpha(model: SystemModel, alpha: float) -> float:
@@ -168,7 +155,6 @@ def _target_w1(model: SystemModel, target: SegmentTarget) -> float:
 
 # search knobs for the simulated schemes
 _BRACKET_TOL = 1e-3
-_MAX_ORACLE_CALLS = 20
 #: every probe lies at least this share of the bracket width inside each end
 _SAFEGUARD = 0.1
 
@@ -196,7 +182,6 @@ def achieve_target(
     target: SegmentTarget,
     scheme: str,
     sim_oracle: Optional[Callable[[float], tuple[float, float]]] = None,
-    max_oracle_calls: int = _MAX_ORACLE_CALLS,
 ) -> SchemeParameter:
     """Find the scheme parameter whose class-1 mean wait matches the target.
 
@@ -263,10 +248,6 @@ def achieve_target(
     def probe(t: float) -> tuple[float, float]:
         nonlocal calls
         calls += 1
-        if calls > max_oracle_calls:
-            raise BisectionError(
-                f"no convergence within {max_oracle_calls} oracle calls", iterations=calls
-            )
         return sim_oracle(param_of_t(t))
 
     # bracket ends with their class-1 waits, lo_w < w1_star < hi_w throughout

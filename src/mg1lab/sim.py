@@ -25,6 +25,7 @@ from typing import Optional
 
 import numpy as np
 
+from .analytic import expected_clearing_time
 from .core import ServiceDistribution, SystemModel, WaitVector, conservation_residual, gfcfs_wait
 from .errors import InvalidParameterError, WrongClassCountError
 
@@ -524,8 +525,7 @@ def estimate_busy_integral(
     ew = gfcfs_wait(model)
     value = abs(est.mean[0] - ew) / rhos[1]
     ci = est.ci_halfwidth_95[0] / rhos[1]
-    favoured = 1 if ubar >= 0 else 0
-    upper = model.w0 / ((1.0 - model.rho) * (1.0 - rhos[favoured]))
+    upper = expected_clearing_time(model, 1 if ubar >= 0 else 0)
     if value > upper + ci:
         warnings.warn(
             f"integral estimate {value:.6g} exceeds branch bound {upper:.6g} beyond its CI; "

@@ -10,6 +10,7 @@ from mg1lab import (
     CustomerClassSpec,
     ServiceDistribution,
     SystemModel,
+    beta_from_integral,
     conservation_residual,
     ddp_waits,
     ddp2_waits,
@@ -260,3 +261,36 @@ class TestEDD:
                 for frac in (0.1, 0.5, 0.9):
                     w = edd2_waits_from_integral(m, frac * upper, sign)
                     assert abs(conservation_residual(m, w)) < 1e-10
+
+
+class TestIntegralRange:
+    """`edd2_waits_from_integral` and `beta_from_integral` accept the same
+    integrals and clamp them to the same branch ends."""
+
+    # rho = 1 - 1e-8: the class-1 branch's upper limit is about 2e8, so one
+    # ulp above it is far beyond an absolute 1e-9 slack
+    NEAR_ONE = (0.5, 0.5 - 1e-8)
+
+    def test_one_ulp_above_upper_is_the_strict_end(self):
+        m = model2(*self.NEAR_ONE)
+        upper = expected_clearing_time(m, 0)
+        x = math.nextafter(upper, math.inf)
+        assert edd2_waits_from_integral(m, x, "neg") == edd2_waits_from_integral(m, upper, "neg")
+        assert beta_from_integral(m, x, "neg") == 0.0
+
+    @pytest.mark.parametrize("rates", [NEAR_ONE, (0.3, 0.2)])
+    def test_tiny_negative_is_the_gfcfs_end(self, rates):
+        m = model2(*rates)
+        for sign in ("neg", "nonneg"):
+            assert tuple(edd2_waits_from_integral(m, -1e-12, sign)) == (gfcfs_wait(m),) * 2
+            assert beta_from_integral(m, -1e-12, sign) == 1.0
+
+    @pytest.mark.parametrize("rates", [NEAR_ONE, (0.3, 0.2)])
+    def test_far_out_rejected_by_both(self, rates):
+        m = model2(*rates)
+        for sign, k in (("neg", 0), ("nonneg", 1)):
+            x = 1.5 * expected_clearing_time(m, k)
+            with pytest.raises(IntegralOutOfRangeError):
+                edd2_waits_from_integral(m, x, sign)
+            with pytest.raises(IntegralOutOfRangeError):
+                beta_from_integral(m, x, sign)

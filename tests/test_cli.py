@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mg1lab import SystemModel, expected_clearing_time
 from mg1lab.cli import main
 
 MODEL_DOC = {
@@ -287,3 +292,172 @@ class TestOptimize:
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(doc))
         assert main(["optimize", "pricing", "--config", str(p)]) == 6
+
+
+SERVICE = MODEL_DOC["model"]["classes"][0]["service"]
+CLOUD_DOC = {"mu": 1.0, "scv": 1.0, "a": [0.8, 0.8], "b": [1.5, 1.5], "c": [0.2, 0.2]}
+BAD_MODELS = [
+    {"model": {"classes": 5}},
+    {"model": {"classes": [{"lambda": "x", "service": SERVICE}] * 2}},
+]
+
+
+class TestMalformedDocuments:
+    """A config value of the wrong type or shape exits 2, never with a traceback."""
+
+    @pytest.mark.parametrize("problem, doc", [
+        ("cloud", dict(CLOUD_DOC, a="xy")),
+        ("cloud", dict(CLOUD_DOC, a=[1])),
+        ("cloud", dict(CLOUD_DOC, a=5)),
+        ("cloud", dict(CLOUD_DOC, mu="x")),
+        ("cloud", dict(CLOUD_DOC, T=[1, None])),
+        ("pricing", {"lambda_p": 0.3, "mu": 1.0, "sigma2": 1.0, "a": 2.0, "b": 1.0, "c": "q"}),
+        ("cmu", dict(MODEL_DOC, c1=[1], c2=1.0)),
+        ("hpc", {"lambda_P": 0.2, "lambda_R": 0.3, "service": "exp",
+                 "a": 5.0, "b": 1.0, "w1": 1.0, "w2": 1.0}),
+        ("network", dict(MODEL_DOC, d=4.0, b=0.01, v1=1.0, v2=1.0, v3=1.0, v4=None)),
+        ("fairness", {"model": [1, 2]}),
+        ("fairness", [1, 2]),
+    ])
+    def test_optimize_exit_2(self, tmp_path, problem, doc):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(doc))
+        assert main(["optimize", problem, "--config", str(p)]) == 2
+
+    @pytest.mark.parametrize("doc", BAD_MODELS)
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--discipline", "gfcfs"],
+        ["simulate", "--discipline", "gfcfs", "--jobs", "1000"],
+        ["map", "--from", "rp:0.5", "--to", "ddp"],
+        ["region"],
+        ["optimize", "fairness"],
+        ["optimize", "cmu"],
+    ])
+    def test_model_document_exit_2(self, tmp_path, argv, doc):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(dict(doc, c1=1.0, c2=1.0)))
+        assert main([*argv, "--config", str(p)]) == 2
+
+    @pytest.mark.parametrize("points", ["1", "0", "-3"])
+    def test_region_too_few_points_exit_2(self, model_path, points):
+        assert main(["region", "--config", model_path, "--points", points]) == 2
+
+
+class TestIntegralRange:
+    """`analyze --discipline edd --integral X` and `map --from edd:X` accept
+    the same integrals."""
+
+    # rho = 1 - 1e-8, where the class-1 branch's upper limit is about 2e8
+    DOC = {"classes": [
+        {"lambda": 0.5, "service": {"kind": "exponential", "mean": 1.0, "scv": 1.0}},
+        {"lambda": 0.5 - 1e-8, "service": {"kind": "exponential", "mean": 1.0, "scv": 1.0}},
+    ]}
+
+    @pytest.mark.parametrize("sign, x_of_upper, code", [
+        ("neg", lambda u: math.nextafter(u, math.inf), 0),
+        ("neg", lambda u: -1e-12, 0),
+        ("nonneg", lambda u: -1e-12, 0),
+        ("neg", lambda u: 1.5 * u, 4),
+        ("nonneg", lambda u: 1.5 * u, 4),
+    ])
+    def test_analyze_and_map_agree(self, tmp_path, sign, x_of_upper, code):
+        p = tmp_path / "model.json"
+        p.write_text(json.dumps(self.DOC))
+        upper = expected_clearing_time(SystemModel.from_json(self.DOC), 1 if sign == "nonneg" else 0)
+        x = repr(x_of_upper(upper))
+        common = ["--config", str(p), "--sign", sign, "--out", str(tmp_path / "o.json")]
+        assert main(["analyze", "--discipline", "edd", f"--integral={x}", *common]) == code
+        assert main(["map", "--from", f"edd:{x}", "--to", "ddp", *common]) == code
+
+
+# argv fuzz: every command line either fails to parse (argparse exits 2) or
+# makes main return a documented exit code; nothing else escapes
+NUMBERS = st.sampled_from(
+    ["0", "0.5", "1", "2", "-1", "1.5", "1e308", "-1e-12", "5e-324", "inf", "-inf", "nan"]
+) | st.floats().map(repr)
+MALFORMED = st.sampled_from(["", "x", "1,", ",", "1,,2", "0x1", "--", "1;2", "None", "[]"])
+VALUES = st.one_of(NUMBERS, st.lists(NUMBERS, min_size=2, max_size=2).map(",".join),
+                   MALFORMED, st.lists(NUMBERS, max_size=3).map(",".join))
+INTS = st.sampled_from(["-5", "-1", "0", "1", "2", "3", "7", "2.5", "x", ""])
+#: the flags each discipline reads, one group drawn per command line
+DISCIPLINE_FLAGS = {
+    "gfcfs": [[]], "strict": [["--order"]], "ddp": [["--beta"], ["--b"]],
+    "rp": [["--p1"], ["--p"]], "pp": [["--omega1"]], "edd": [["--u"], ["--integral"]],
+    "holpj": [["--u"]],
+}
+FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "model.json").write_text(json.dumps(MODEL_DOC))
+    (d / "bad.json").write_text(json.dumps({"model": {"classes": [{"lambda": [], "service": 1}]}}))
+    (d / "binary.json").write_bytes(b"\xff\xfe{")
+    return d
+
+
+def _option(flag, values):
+    return st.tuples(st.just(flag), values).map(list)
+
+
+@st.composite
+def argvs(draw, d):
+    command = draw(st.sampled_from(["analyze", "simulate", "map", "region", "tables", "optimize"]))
+    argv = [command]
+    config = draw(st.sampled_from(
+        ["model.json"] * 4 + ["bad.json", "binary.json", "missing.json", None]))
+    if config:
+        argv += ["--config", str(d / config)]
+    for option in (
+        _option("--seed", INTS | st.integers(-(2**65), 2**65).map(str)),
+        _option("--format", st.sampled_from(["json", "csv"])),
+        _option("--out", st.sampled_from([str(d / "out"), str(d), ""])),
+        _option("--timestamp", st.sampled_from(["2000-01-01T00:00:00Z", ""])),
+    ):
+        argv += draw(option | st.just([]))
+    options = []
+    if command in ("analyze", "simulate"):
+        discipline = draw(st.sampled_from(sorted(DISCIPLINE_FLAGS)))
+        argv += ["--discipline", discipline]
+        for flag in draw(st.sampled_from(DISCIPLINE_FLAGS[discipline])):
+            argv += [flag, draw(VALUES)]
+        options += [_option(flag, VALUES) for flag in
+                    ("--order", "--beta", "--b", "--p1", "--p", "--omega1", "--u", "--integral")]
+        options += [_option("--dispatch", st.sampled_from(["jump", "order"])),
+                    _option("--sign", st.sampled_from(["neg", "nonneg"]))]
+    if command == "simulate":
+        # small runs: at most 1200 measured and 50 warm-up jobs, 2 replications
+        argv += ["--jobs", draw(st.sampled_from(["1000", "1200"]) | INTS),
+                 "--warmup", draw(st.sampled_from(["0", "50"]) | INTS),
+                 "--replications", draw(st.sampled_from(["1", "2"]) | INTS)]
+        options.append(_option("--trace", st.sampled_from([str(d / "trace.csv"), str(d)])))
+    elif command == "map":
+        schemes = st.sampled_from(["ddp", "rp", "edd", "holpj", "pp", "xyz", ""])
+        argv += ["--from", draw(st.tuples(schemes, VALUES).map(":".join) | MALFORMED),
+                 "--to", draw(schemes)]
+        options.append(_option("--sign", st.sampled_from(["neg", "nonneg"])))
+    elif command == "region":
+        options.append(_option("--points", INTS | st.integers(-3, 40).map(str)))
+    elif command == "tables":
+        argv.append(draw(st.sampled_from(["table1", "table2"])))
+        options.append(st.just(["--check"]))
+    elif command == "optimize":
+        argv.append(draw(st.sampled_from(["cmu", "hpc", "cloud", "pricing", "network", "fairness"])))
+    for option in draw(st.lists(st.sampled_from(options), max_size=2)) if options else ():
+        argv += draw(option)
+    return argv
+
+
+@FUZZ
+@given(data=st.data())
+def test_argv_fuzz_exits_with_a_documented_code(fuzz_dir, data):
+    argv = data.draw(argvs(fuzz_dir), label="argv")
+    sink = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            rc = main(argv)
+    except SystemExit as exc:  # argparse rejected the command line
+        assert exc.code == 2, argv
+    else:
+        assert rc in (0, 2, 3, 4, 5, 6), argv
