@@ -411,7 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--p", help="comma-separated weights for rp")
         p.add_argument("--omega1", type=float, help="polling probability for pp")
         p.add_argument("--u", help="comma-separated urgencies (edd) or deadlines (holpj)")
-        p.add_argument("--dispatch", default="jump", choices=("jump", "order"))
+        p.add_argument("--dispatch", default="jump", choices=("jump", "order"),
+                       help="holpj: either value selects the ordering rule min(arrival + D)")
         p.add_argument("--integral", type=float, help="busy-period integral value for edd analysis")
         p.add_argument("--sign", default="nonneg", choices=("nonneg", "neg"))
 

@@ -151,13 +151,13 @@ class NetworkUtilityConfig:
                 raise InvalidParameterError(
                     "deterministic unit service is required for both classes"
                 )
-        if self.d <= 1.0:
-            raise InvalidParameterError("deadline d must exceed the unit service time")
+        if not 1.0 < self.d < _INF:
+            raise InvalidParameterError("deadline d must be finite and above the service time 1")
         if not 0.0 < self.b < self.model.rho:
             raise InvalidParameterError("miss probability b must lie in (0, rho)")
         for name in ("v1", "v2", "v3", "v4"):
-            if getattr(self, name) < 0:
-                raise InvalidParameterError(f"{name} must be nonnegative")
+            if not 0 <= getattr(self, name) < _INF:
+                raise InvalidParameterError(f"{name} must be finite and nonnegative")
 
 
 def network_K(rho: float, d: float, b: float) -> float:
@@ -311,12 +311,14 @@ class HpcConfig:
     S_R: Optional[float] = None
 
     def __post_init__(self):
-        if self.lambda_P <= 0 or self.lambda_R <= 0:
-            raise InvalidParameterError("both arrival rates must be positive")
-        if self.a <= 0 or self.b <= 0:
-            raise InvalidParameterError("price-sensitivity coefficients must be positive")
-        if self.w1 < 0 or self.w2 < 0:
-            raise InvalidParameterError("weights must be nonnegative")
+        if not (0 < self.lambda_P < _INF and 0 < self.lambda_R < _INF):
+            raise InvalidParameterError("both arrival rates must be positive and finite")
+        if not (0 < self.a < _INF and 0 < self.b < _INF):
+            raise InvalidParameterError("price coefficients a and b must be positive and finite")
+        if not (0 <= self.w1 < _INF and 0 <= self.w2 < _INF):
+            raise InvalidParameterError("weights must be finite and nonnegative")
+        if self.S_R is not None and not math.isfinite(self.S_R):
+            raise InvalidParameterError("S_R must be finite")
 
     def model(self) -> SystemModel:
         return SystemModel(
@@ -401,16 +403,16 @@ class CloudConfig:
     def __post_init__(self):
         if any(len(v) != 2 for v in (self.a, self.b, self.c, self.T)):
             raise InvalidParameterError("a, b, c and T need one entry per class, two in all")
-        if self.mu <= 0:
-            raise InvalidParameterError("mu must be positive")
-        if self.scv < 0:
-            raise InvalidParameterError("scv must be nonnegative")
-        if any(x <= 0 for x in self.a) or any(x <= 0 for x in self.b):
-            raise InvalidParameterError("demand intercepts and price slopes must be positive")
-        if any(x < 0 for x in self.c):
-            raise InvalidParameterError("delay sensitivities must be nonnegative")
-        if any(x <= 0 for x in self.T):
-            raise InvalidParameterError("SLA thresholds must be positive")
+        if not 0 < self.mu < _INF:
+            raise InvalidParameterError("mu must be positive and finite")
+        if not 0 <= self.scv < _INF:
+            raise InvalidParameterError("scv must be finite and nonnegative")
+        if not all(0 < x < _INF for x in (*self.a, *self.b)):
+            raise InvalidParameterError("demand intercepts and price slopes must be finite, > 0")
+        if not all(0 <= x < _INF for x in self.c):
+            raise InvalidParameterError("delay sensitivities must be finite and nonnegative")
+        if not all(x > 0 for x in self.T):
+            raise InvalidParameterError("SLA thresholds must be positive (+inf for none)")
 
 
 def _inverse_demand(a: float, b: float, c: float, T: float, lam: float, w: float) -> Optional[float]:
@@ -595,16 +597,16 @@ class JointPricingConfig:
     c: float
 
     def __post_init__(self):
-        if self.lambda_p <= 0 or self.mu <= 0:
-            raise InvalidParameterError("rates must be positive")
+        if not (0 < self.lambda_p < _INF and 0 < self.mu < _INF):
+            raise InvalidParameterError("rates must be positive and finite")
         if self.lambda_p >= self.mu:
             raise InvalidParameterError("the primary stream alone must be stable")
-        if self.sigma2 < 0:
-            raise InvalidParameterError("sigma2 must be nonnegative")
-        if self.S_p <= 0:
-            raise InvalidParameterError("S_p must be positive")
-        if self.a < 0 or self.b <= 0 or self.c < 0:
-            raise InvalidParameterError("need a >= 0, b > 0, c >= 0")
+        if not 0 <= self.sigma2 < _INF:
+            raise InvalidParameterError("sigma2 must be finite and nonnegative")
+        if not self.S_p > 0:
+            raise InvalidParameterError("S_p must be positive (+inf for none)")
+        if not (0 <= self.a < _INF and 0 < self.b < _INF and 0 <= self.c < _INF):
+            raise InvalidParameterError("need finite a >= 0, b > 0, c >= 0")
 
 
 def joint_pricing_T1(cfg: JointPricingConfig) -> ControlSolution:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Optional
@@ -66,7 +65,7 @@ class RP:
 class HOLPJ:
     #: deadlines, strictly increasing, D[0] > 0
     D: tuple[float, ...]
-    #: "jump" = explicit queue-jump mechanism; "order" = serve min(arrival + D)
+    #: "jump" or "order": both select the ordering rule min(arrival + D)
     dispatch: str = "jump"
 
 
@@ -302,10 +301,7 @@ def _selector(disc: DisciplineConfig, A: list, head: list, tail: list, draw):
             return 0 if q0 and (not q1 or p0 >= 1.0 or (p0 > 0.0 and draw() < p0)) else 1
         return select
 
-    if isinstance(disc, HOLPJ) and disc.dispatch == "jump":
-        return _holpj_jump(disc.D, A, head, tail)
-
-    # GFCFS, EDD and HOL-PJ ordering are one rule: serve min(arrival + offset)
+    # GFCFS, EDD and HOL-PJ (either dispatch) are one rule: serve min(arrival + offset)
     offsets = disc.u if isinstance(disc, EDD) else disc.D if isinstance(disc, HOLPJ) else (0.0,) * n
     heads = list(zip(range(n), A, offsets))
 
@@ -320,58 +316,6 @@ def _selector(disc: DisciplineConfig, A: list, head: list, tail: list, draw):
                 if bc < 0 or v < bv or (v == bv and a < ba):
                     bv, ba, bc = v, a, c
         return bc
-    return select
-
-
-def _holpj_jump(D: tuple[float, ...], A: list, head: list, tail: list):
-    """HOL-PJ by its queue-jump mechanism, kept as the reference for the
-    ordering rule min(arrival + D).  Priority level k holds class-k jobs
-    from their arrival; a job moves up one level each time it has waited
-    D[k] - D[k-1] there, and the front of the highest nonempty level is
-    served.  Level k is class k's waiting jobs that have not jumped,
-    A[k][head[k] + out[k]:tail[k]] (entry time = arrival), merged by entry
-    time with the jobs that jumped into it, held in up[k] as (entry, class)."""
-    n = len(D)
-    up = [deque() for _ in range(n)]
-    out = [0] * n  # class-k waiting jobs that have left level k
-    levels = list(zip(range(n), A, up))
-    jumps = [(k, A[k], up[k], D[k] - D[k - 1]) for k in range(1, n)]
-
-    def select(now):
-        # move every due jump, in chronological order of jump instants
-        while True:
-            due = None
-            for k, Ak, q, gap in jumps:
-                u = head[k] + out[k]
-                if q and (u == tail[k] or q[0][0] < Ak[u]):
-                    d, jumped = q[0][0] + gap, True
-                elif u < tail[k]:
-                    d, jumped = Ak[u] + gap, False
-                else:
-                    continue
-                if d <= now and (due is None or d < due):
-                    due, lvl, from_up = d, k, jumped
-            if due is None:
-                break
-            if from_up:
-                c = up[lvl].popleft()[1]
-            else:
-                c = lvl
-                out[lvl] += 1
-            target = up[lvl - 1]
-            # merge by entry time so level order matches chronology
-            idx = len(target)
-            while idx > 0 and target[idx - 1][0] > due:
-                idx -= 1
-            target.insert(idx, (due, c))
-        for k, Ak, q in levels:
-            u = head[k] + out[k]
-            if q and (u == tail[k] or q[0][0] < Ak[u]):
-                c = q.popleft()[1]
-                out[c] -= 1
-                return c
-            if u < tail[k]:
-                return k
     return select
 
 

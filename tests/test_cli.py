@@ -28,6 +28,16 @@ UNSTABLE_DOC = {
     }
 }
 
+NETWORK_DOC = {
+    "model": {
+        "classes": [
+            {"lambda": 0.1179, "service": {"kind": "deterministic", "mean": 1.0, "scv": 0.0}},
+            {"lambda": 0.26, "service": {"kind": "deterministic", "mean": 1.0, "scv": 0.0}},
+        ]
+    },
+    "d": 4.911, "b": 0.01, "v1": 60, "v2": 60, "v3": 300, "v4": 120,
+}
+
 
 @pytest.fixture
 def model_path(tmp_path):
@@ -232,17 +242,8 @@ class TestOptimize:
         assert json.loads(out.read_text())["solution"]["params"]["p1"] == 0.0
 
     def test_network_benchmark_row(self, tmp_path):
-        doc = {
-            "model": {
-                "classes": [
-                    {"lambda": 0.1179, "service": {"kind": "deterministic", "mean": 1.0, "scv": 0.0}},
-                    {"lambda": 0.26, "service": {"kind": "deterministic", "mean": 1.0, "scv": 0.0}},
-                ]
-            },
-            "d": 4.911, "b": 0.01, "v1": 60, "v2": 60, "v3": 300, "v4": 120,
-        }
         p = tmp_path / "cfg.json"
-        p.write_text(json.dumps(doc))
+        p.write_text(json.dumps(NETWORK_DOC))
         out = tmp_path / "out.json"
         rc = main(["optimize", "network", "--config", str(p), "--out", str(out)])
         assert rc == 0
@@ -296,10 +297,36 @@ class TestOptimize:
 
 SERVICE = MODEL_DOC["model"]["classes"][0]["service"]
 CLOUD_DOC = {"mu": 1.0, "scv": 1.0, "a": [0.8, 0.8], "b": [1.5, 1.5], "c": [0.2, 0.2]}
+HPC_DOC = {"lambda_P": 0.2, "lambda_R": 0.3, "service": SERVICE,
+           "a": 5.0, "b": 1.0, "w1": 1.0, "w2": 1.0}
+PRICING_DOC = {"lambda_p": 0.3, "mu": 1.0, "sigma2": 1.0, "a": 2.0, "b": 1.0, "c": 1.0}
 BAD_MODELS = [
     {"model": {"classes": 5}},
     {"model": {"classes": [{"lambda": "x", "service": SERVICE}] * 2}},
 ]
+
+
+class TestNonFiniteDocuments:
+    """json.load reads NaN and Infinity literals; a parameter that is not
+    finite exits 4 (an infinite SLA cap, the default, means no cap)."""
+
+    @pytest.mark.parametrize("problem, doc", [
+        ("cloud", dict(CLOUD_DOC, mu=math.nan)),
+        ("cloud", dict(CLOUD_DOC, c=[0.2, math.inf])),
+        ("cloud", dict(CLOUD_DOC, T=[math.nan, 5.0])),
+        ("hpc", dict(HPC_DOC, a=math.nan)),
+        ("hpc", dict(HPC_DOC, S_R=math.inf)),
+        ("pricing", dict(PRICING_DOC, lambda_p=math.nan)),
+        ("pricing", dict(PRICING_DOC, S_p=math.nan)),
+        ("pricing", dict(PRICING_DOC, b=math.inf)),
+        ("network", dict(NETWORK_DOC, d=math.inf)),
+        ("network", dict(NETWORK_DOC, v1=math.nan)),
+    ])
+    def test_optimize_exit_4(self, tmp_path, capsys, problem, doc):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(doc))
+        assert main(["optimize", problem, "--config", str(p)]) == 4
+        assert capsys.readouterr().err.startswith("parameter error: ")
 
 
 class TestMalformedDocuments:

