@@ -174,7 +174,7 @@ def _discipline_from_args(args: argparse.Namespace):
         return PP((_flag(args, "omega1"), 1.0))
     if name == "edd":
         return EDD(_numbers(args, "u"))
-    return HOLPJ(_numbers(args, "u"), dispatch=args.dispatch)
+    return HOLPJ(_numbers(args, "u"))
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -411,8 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--p", help="comma-separated weights for rp")
         p.add_argument("--omega1", type=float, help="polling probability for pp")
         p.add_argument("--u", help="comma-separated urgencies (edd) or deadlines (holpj)")
-        p.add_argument("--dispatch", default="jump", choices=("jump", "order"),
-                       help="holpj: either value selects the ordering rule min(arrival + D)")
         p.add_argument("--integral", type=float, help="busy-period integral value for edd analysis")
         p.add_argument("--sign", default="nonneg", choices=("nonneg", "neg"))
 

@@ -317,8 +317,8 @@ class HpcConfig:
             raise InvalidParameterError("price coefficients a and b must be positive and finite")
         if not (0 <= self.w1 < _INF and 0 <= self.w2 < _INF):
             raise InvalidParameterError("weights must be finite and nonnegative")
-        if self.S_R is not None and not math.isfinite(self.S_R):
-            raise InvalidParameterError("S_R must be finite")
+        if self.S_R is not None and not self.S_R > -_INF:
+            raise InvalidParameterError("S_R must be a number (+inf for no cap)")
 
     def model(self) -> SystemModel:
         return SystemModel(

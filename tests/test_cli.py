@@ -308,14 +308,14 @@ BAD_MODELS = [
 
 class TestNonFiniteDocuments:
     """json.load reads NaN and Infinity literals; a parameter that is not
-    finite exits 4 (an infinite SLA cap, the default, means no cap)."""
+    finite exits 4, except an SLA cap, where +inf means no cap."""
 
     @pytest.mark.parametrize("problem, doc", [
         ("cloud", dict(CLOUD_DOC, mu=math.nan)),
         ("cloud", dict(CLOUD_DOC, c=[0.2, math.inf])),
         ("cloud", dict(CLOUD_DOC, T=[math.nan, 5.0])),
         ("hpc", dict(HPC_DOC, a=math.nan)),
-        ("hpc", dict(HPC_DOC, S_R=math.inf)),
+        ("hpc", dict(HPC_DOC, S_R=math.nan)),
         ("pricing", dict(PRICING_DOC, lambda_p=math.nan)),
         ("pricing", dict(PRICING_DOC, S_p=math.nan)),
         ("pricing", dict(PRICING_DOC, b=math.inf)),
@@ -327,6 +327,13 @@ class TestNonFiniteDocuments:
         p.write_text(json.dumps(doc))
         assert main(["optimize", problem, "--config", str(p)]) == 4
         assert capsys.readouterr().err.startswith("parameter error: ")
+
+    def test_hpc_infinite_cap_is_slack(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(dict(HPC_DOC, S_R=math.inf)))
+        out = tmp_path / "out.json"
+        assert main(["optimize", "hpc", "--config", str(p), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["solution"]["params"]["p1"] == 1.0
 
 
 class TestMalformedDocuments:
@@ -451,8 +458,7 @@ def argvs(draw, d):
             argv += [flag, draw(VALUES)]
         options += [_option(flag, VALUES) for flag in
                     ("--order", "--beta", "--b", "--p1", "--p", "--omega1", "--u", "--integral")]
-        options += [_option("--dispatch", st.sampled_from(["jump", "order"])),
-                    _option("--sign", st.sampled_from(["neg", "nonneg"]))]
+        options += [_option("--sign", st.sampled_from(["neg", "nonneg"]))]
     if command == "simulate":
         # small runs: at most 1200 measured and 50 warm-up jobs, 2 replications
         argv += ["--jobs", draw(st.sampled_from(["1000", "1200"]) | INTS),
