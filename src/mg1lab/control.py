@@ -263,8 +263,8 @@ def cmu_rule_2class(model: SystemModel, c1: float, c2: float) -> ControlSolution
     cost-to-load ratio.  On a tie the objective is flat and every
     work-conserving rule is optimal (p1 = 0 reported with a tie flag)."""
     model.require_two_classes()
-    if c1 < 0 or c2 < 0:
-        raise InvalidParameterError("holding costs must be nonnegative")
+    if not (0 <= c1 < _INF and 0 <= c2 < _INF):
+        raise InvalidParameterError("holding costs must be finite and nonnegative")
     r1, r2 = model.rho_per_class
     ratio1 = c1 / r1 if r1 > 0 else _INF
     ratio2 = c2 / r2 if r2 > 0 else _INF

@@ -8,10 +8,15 @@ and probabilistic priority consume a dedicated selection substream.
 Identical (seed, model, discipline, config) inputs produce bit-identical
 estimates.
 
-Class c's waiting jobs are the index range A[c][head[c]:tail[c]] of its
-pre-drawn arrival times; the event loop admits arrivals from merged,
-time-ordered runs, serves an arrival to an idle server at once, and calls
-the discipline's selection rule only to pick the class served next.
+Each class is its own stream: A[c] and S[c] hold its drawn arrival times
+and services, and head[c] is its next job, whose arrival is H[c].  Every
+discipline serves each class first-come-first-served and is
+non-anticipative, so at each service completion the selection rule picks
+among the classes whose head arrived before that time; when none did, the
+server idles until the earliest head (ties to the lower class).  No global
+arrival order is built: only RP needs queue lengths, and its rule counts
+them itself.  A class refills its chunk once it is used up, dropping its
+served prefix, so memory stays at the queues plus a chunk per class.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ from .core import ServiceDistribution, SystemModel, WaitVector, conservation_res
 from .errors import InvalidParameterError, WrongClassCountError
 
 _CHUNK = 4096  # draws per substream call; H2 services interleave two draws per chunk
-_RUN = 1024  # most arrivals per merged run, which bounds the floats held beyond the queue
 _INF = math.inf
 
 
@@ -167,64 +171,46 @@ def _service_draw(dist: ServiceDistribution):
     return draw
 
 
-def _arrivals(model: SystemModel, children, A: list, S: list, head: list, tail: list):
-    """Build `merge()`, which returns the next run of at most _RUN arrivals
-    as (times + [+inf], classes), in time order with ties to the lower
-    class, and appends their times to A.  A class's arrival times are drawn
-    _CHUNK at a time into `pending` (and its services into S) once it has
-    nothing left to merge but its last draw; a run holds only arrivals
-    before the earliest last draw, which no later draw can precede.  Served
-    prefixes of A and S are dropped first, so memory stays at the queue
-    plus about a chunk per class."""
-    sources = [
-        (c, np.random.default_rng(children[2 * c]), 1.0 / spec.lam,
-         np.random.default_rng(children[2 * c + 1]), _service_draw(spec.service))
+def _refiller(model: SystemModel, children, A: list, S: list, head: list, tail: list, served: list):
+    """Build `refill(c)`, which drops class c's served prefix from A[c] and
+    S[c] (adding its length to served[c]), shifts head[c] and tail[c] to
+    match, and appends the class's next _CHUNK arrival times and services.
+    Memory so stays at the queue plus about a chunk per class."""
+    sources = {
+        c: (np.random.default_rng(children[2 * c]), 1.0 / spec.lam,
+            np.random.default_rng(children[2 * c + 1]), _service_draw(spec.service))
         for c, spec in enumerate(model.classes) if spec.lam > 0
-    ]
-    active = [c for c, *_ in sources]
-    pending = {c: np.empty(0) for c in active}  # drawn, not yet merged
+    }
 
-    def merge():
-        for c, h in enumerate(head):
-            if h:
-                # A's lists are shared with the selection rule, so they are cut
-                # in place; S's are rebuilt, which measured a lower peak RSS
-                del A[c][:h]
-                S[c] = S[c][h:]
-                tail[c] -= h
-                head[c] = 0
-        for c, arr, mean, srv, draw in sources:
-            p = pending[c]
-            if not len(p) or p[0] == p[-1]:
-                x = arr.exponential(mean, _CHUNK)
-                if len(p):
-                    x[0] += p[-1]
-                # left to right, so each time is the scalar t + x, bit for bit
-                pending[c] = np.concatenate((p, np.cumsum(x)))
-                S[c] = S[c] + draw(srv, _CHUNK).tolist()
-        horizon = min(pending[c][-1] for c in active)
-        # each class's first _RUN arrivals before the horizon hold the run's _RUN earliest
-        firsts = [pending[c][:min(np.searchsorted(pending[c], horizon), _RUN)] for c in active]
-        times = np.concatenate(firsts)
-        order = np.argsort(times, kind="stable")[:_RUN]  # class order breaks ties
-        segment = np.searchsorted(np.cumsum([len(f) for f in firsts]), order, side="right")
-        for c, k in zip(active, np.bincount(segment, minlength=len(active)).tolist()):
-            A[c] += pending[c][:k].tolist()
-            pending[c] = pending[c][k:]
-        return times[order].tolist() + [_INF], np.take(active, segment).tolist()
+    def refill(c):
+        arr, mean, srv, draw = sources[c]
+        Ac, h = A[c], head[c]
+        x = arr.exponential(mean, _CHUNK)
+        if Ac:
+            x[0] += Ac[-1]
+        # A's lists are shared with the selection rule, so they are cut in
+        # place; S's are rebuilt, which measured a lower peak RSS
+        del Ac[:h]
+        S[c] = S[c][h:] + draw(srv, _CHUNK).tolist()
+        served[c] += h
+        head[c] = 0
+        tail[c] -= h
+        # left to right, so each time is the scalar t + x, bit for bit
+        Ac += np.cumsum(x).tolist()
 
-    return merge
+    return refill
 
 
 # ---------------------------------------------------------------------------
 # selection rules
 
-def _selector(disc: DisciplineConfig, A: list, head: list, tail: list, draw):
+def _selector(disc: DisciplineConfig, A: list, H: list, head: list, tail: list, refill, draw):
     """Build the discipline's selection rule once, before the event loop.
 
-    The rule is called with the current time when some job waits and
-    returns the class whose earliest waiting job is served next.  It reads
-    only arrival times, A[c][head[c]:tail[c]] (non-anticipative), and draws
+    The rule is called with the decision time `now` and returns the class
+    whose head job is served next, among the classes whose head arrived
+    strictly before `now` (H[c] = A[c][head[c]] < now), or -1 when none did.
+    It reads only arrival times before `now` (non-anticipative), and draws
     from the selection substream `draw` only when two or more classes wait.
     """
     n = len(A)
@@ -233,20 +219,35 @@ def _selector(disc: DisciplineConfig, A: list, head: list, tail: list, draw):
 
         def select(now):
             for c in order:
-                if head[c] < tail[c]:
+                if H[c] < now:
                     return c
+            return -1
         return select
 
     if isinstance(disc, DDP):
-        heads = list(zip(range(n), A, disc.b))
+        if n == 2:
+            b0, b1 = disc.b
+
+            def select(now):
+                # the N-class rule below, unrolled
+                a0, a1 = H
+                if a0 < now:
+                    if a1 < now:
+                        v0 = (now - a0) * b0
+                        v1 = (now - a1) * b1
+                        return 1 if v1 > v0 or (v1 == v0 and a1 < a0) else 0
+                    return 0
+                return 1 if a1 < now else -1
+            return select
+
+        rates = list(zip(range(n), disc.b))
 
         def select(now):
             # largest accrued priority (now - arrival) * b; ties to the earlier arrival
             bc = -1
-            for c, Ac, b in heads:
-                h = head[c]
-                if h < tail[c]:
-                    a = Ac[h]
+            for c, b in rates:
+                a = H[c]
+                if a < now:
                     v = (now - a) * b
                     if bc < 0 or v > bv or (v == bv and a < ba):
                         bv, ba, bc = v, a, c
@@ -254,42 +255,7 @@ def _selector(disc: DisciplineConfig, A: list, head: list, tail: list, draw):
         return select
 
     if isinstance(disc, RP):
-        if n == 2:
-            p0, p1 = disc.p
-
-            def select(now):
-                n0 = tail[0] - head[0]
-                n1 = tail[1] - head[1]
-                if n0 and n1:
-                    w0 = n0 * p0
-                    return 0 if draw() * (w0 + n1 * p1) < w0 else 1
-                return 0 if n0 else 1
-            return select
-
-        weights = list(zip(range(n), disc.p))
-        acc = [0.0] * n
-
-        def select(now):
-            # class c with probability proportional to (queue length) * p[c]:
-            # running sums in class order (an empty class adds 0.0), then the
-            # first sum above the scaled draw
-            total = 0.0
-            busy = 0
-            for c, p in weights:
-                m = tail[c] - head[c]
-                if m:
-                    total += m * p
-                    busy += 1
-                    last = c
-                acc[c] = total
-            if busy > 1:
-                x = draw() * total
-                for c in range(last):
-                    if acc[c] > x:
-                        return c
-            # the scaled draw may round up to the total, which picks the last class
-            return last
-        return select
+        return _rp_selector(disc.p, A, H, head, tail, refill, draw)
 
     if isinstance(disc, PP):
         p0 = disc.p[0]
@@ -297,25 +263,114 @@ def _selector(disc: DisciplineConfig, A: list, head: list, tail: list, draw):
         def select(now):
             # poll queue 1 with probability p0; an empty queue is skipped, and
             # a queue that waits alone is served with probability 1
-            q0, q1 = tail[0] - head[0], tail[1] - head[1]
-            return 0 if q0 and (not q1 or p0 >= 1.0 or (p0 > 0.0 and draw() < p0)) else 1
+            a0, a1 = H
+            if a0 < now:
+                return 0 if a1 >= now or p0 >= 1.0 or (p0 > 0.0 and draw() < p0) else 1
+            return 1 if a1 < now else -1
         return select
 
     # GFCFS, EDD and HOL-PJ (either dispatch) are one rule: serve min(arrival + offset)
     offsets = disc.u if isinstance(disc, EDD) else disc.D if isinstance(disc, HOLPJ) else (0.0,) * n
-    heads = list(zip(range(n), A, offsets))
+    if n == 2:
+        o0, o1 = offsets
+
+        def select(now):
+            # the N-class rule below, unrolled
+            a0, a1 = H
+            if a0 < now:
+                if a1 < now:
+                    v0 = a0 + o0
+                    v1 = a1 + o1
+                    return 1 if v1 < v0 or (v1 == v0 and a1 < a0) else 0
+                return 0
+            return 1 if a1 < now else -1
+        return select
+
+    heads = list(zip(range(n), offsets))
 
     def select(now):
         # smallest arrival + offset; ties to the earlier arrival
         bc = -1
-        for c, Ac, o in heads:
-            h = head[c]
-            if h < tail[c]:
-                a = Ac[h]
+        for c, o in heads:
+            a = H[c]
+            if a < now:
                 v = a + o
                 if bc < 0 or v < bv or (v == bv and a < ba):
                     bv, ba, bc = v, a, c
         return bc
+    return select
+
+
+def _rp_selector(p: tuple, A: list, H: list, head: list, tail: list, refill, draw):
+    """RP's rule: class c with probability proportional to (queue length) * p[c].
+
+    A waiting class c's queue is A[c][head[c]:tail[c]], and X[c] is
+    A[c][tail[c]], its first arrival not yet counted.  Once X[c] < now the
+    rule moves tail[c] on, about one step per arrival, and refills the
+    class when its queue reaches past its drawn chunk.  A tail[c] at or
+    below head[c] is stale (the class was empty); its X[c] is then at most
+    the head's arrival, and it restarts after the head."""
+    X = [Ac[0] for Ac in A]
+
+    def advance(c, now):
+        Ac, h, t = A[c], head[c], tail[c]
+        if t <= h:
+            t = h + 1
+        while True:
+            try:
+                while Ac[t] < now:
+                    t += 1
+                break
+            except IndexError:
+                tail[c] = t
+                refill(c)
+                t = tail[c]
+        tail[c] = t
+        X[c] = Ac[t]
+
+    if len(A) == 2:
+        p0, p1 = p
+
+        def select(now):
+            a0, a1 = H
+            if a0 < now:
+                if a1 < now:
+                    # the N-class rule's arithmetic, unrolled
+                    x0, x1 = X
+                    if x0 < now:
+                        advance(0, now)
+                    if x1 < now:
+                        advance(1, now)
+                    w0 = (tail[0] - head[0]) * p0
+                    return 0 if draw() * (w0 + (tail[1] - head[1]) * p1) < w0 else 1
+                return 0
+            return 1 if a1 < now else -1
+        return select
+
+    weights = list(zip(range(len(A)), p))
+    acc = [0.0] * len(A)
+
+    def select(now):
+        # running sums of (queue length) * p over the waiting classes in
+        # class order, then the first sum above the scaled draw
+        total = 0.0
+        busy = 0
+        for c, w in weights:
+            if H[c] < now:
+                if X[c] < now:
+                    advance(c, now)
+                total += (tail[c] - head[c]) * w
+                acc[c] = total
+                busy += 1
+                last = c
+        if busy < 2:
+            return last if busy else -1
+        x = draw() * total
+        for c in range(last):
+            if H[c] < now and acc[c] > x:
+                return c
+        # the scaled draw may round up to the total, which picks the last class
+        return last
     return select
 
 
@@ -337,55 +392,48 @@ def _replicate(
     warmup; `boundaries` collects (busy_start, busy_end) pairs."""
     n = model.n_classes
     children = rep_seed_seq.spawn(2 * n + 1)
-    A, S = [[] for _ in range(n)], [[] for _ in range(n)]  # arrival times, services
-    head, tail = [0] * n, [0] * n  # class c waits as A[c][head[c]:tail[c]]
-    merge = _arrivals(model, children, A, S, head, tail)
+    A, S = [[] for _ in range(n)], [[] for _ in range(n)]  # drawn arrival times, services
+    head, tail = [0] * n, [0] * n  # class c's next job; RP's queue end
+    served = [0] * n  # class c's jobs dropped from A[c]; served[c] + head[c] started
+    refill = _refiller(model, children, A, S, head, tail, served)
+    for c, spec in enumerate(model.classes):
+        if spec.lam > 0:
+            refill(c)
+        else:
+            A[c].append(_INF)  # a head that never arrives
+    H = [Ac[0] for Ac in A]  # H[c] == A[c][head[c]], class c's head arrival
     rng = np.random.default_rng(children[2 * n])
     draw = chain.from_iterable(rng.random(_CHUNK).tolist() for _ in repeat(None)).__next__
-    select = _selector(disc, A, head, tail, draw)
+    select = _selector(disc, A, H, head, tail, refill, draw)
 
-    total = warmup + measured
-    sums = [0.0] * n
-    counts = [0] * n
-    T, C = merge()  # arrival times, ending in +inf, and their classes
-    last = len(T) - 1
-    i = admitted = starts = 0  # admitted + i - starts jobs wait
     completion = -_INF  # end of the current service
-
-    while starts < total:
-        while T[i] < completion:
-            tail[C[i]] += 1
-            i += 1
-        if i == last:
-            admitted += last
-            T, C = merge()
-            last, i = len(T) - 1, 0
-            continue
-        if admitted + i > starts:
+    for jobs in (warmup, measured):
+        sums = [0.0] * n  # the warmup's are dropped
+        first = [s + h for s, h in zip(served, head)]
+        for _ in range(jobs):
             t = completion
             c = select(t)
+            if c < 0:
+                # the server idles until the earliest head arrives, which
+                # starts at once; ties to the lower class
+                if boundaries is not None and t > -_INF:
+                    boundaries.append((busy_start, t))
+                busy_start = t = min(H)
+                c = H.index(t)
+            a = H[c]
             h = head[c]
-            head[c] = h + 1
-            a = A[c][h]
-        else:
-            # the server idles until the next arrival, which starts at once
-            # without the selection rule
-            if starts and boundaries is not None:
-                boundaries.append((busy_start, completion))
-            busy_start = t = a = T[i]
-            c = C[i]
-            i += 1
-            h = tail[c]
-            tail[c] = head[c] = h + 1
-        w = t - a
-        if starts >= warmup:
-            sums[c] += w
-            counts[c] += 1
-        if trace is not None:
-            trace.append((t, c, a, w))
-        starts += 1
-        completion = t + S[c][h]
-
+            completion = t + S[c][h]
+            h += 1
+            head[c] = h
+            try:
+                H[c] = A[c][h]
+            except IndexError:
+                refill(c)
+                H[c] = A[c][0]
+            sums[c] += t - a
+            if trace is not None:
+                trace.append((t, c, a, t - a))
+    counts = [s + h - f for s, h, f in zip(served, head, first)]
     return sums, counts
 
 

@@ -14,7 +14,7 @@ from collections import deque
 from unittest import mock
 
 
-def holpj_jump(D: tuple[float, ...], A: list, head: list, tail: list):
+def holpj_jump(D: tuple[float, ...], A: list, head: list, tail: list, refill):
     """Selection rule of HOL-PJ by its queue-jump mechanism, with the
     signature of the rules `mg1lab.sim._selector` builds.  It checks the
     ordering rule min(arrival + D): a trace under this rule must equal the
@@ -23,7 +23,9 @@ def holpj_jump(D: tuple[float, ...], A: list, head: list, tail: list):
     waited D[k] - D[k-1] there, and the front of the highest nonempty level
     is served.  Level k is class k's waiting jobs that have not jumped,
     A[k][head[k] + out[k]:tail[k]] (entry time = arrival), merged by entry
-    time with the jobs that jumped into it, held in up[k] as (entry, class)."""
+    time with the jobs that jumped into it, held in up[k] as (entry, class).
+    tail[k] is moved on, from head[k] at least, past class k's arrivals
+    before `now`; reaching the end of A[k] refills the class first."""
     n = len(D)
     up = [deque() for _ in range(n)]
     out = [0] * n  # class-k waiting jobs that have left level k
@@ -31,6 +33,14 @@ def holpj_jump(D: tuple[float, ...], A: list, head: list, tail: list):
     jumps = [(k, A[k], up[k], D[k] - D[k - 1]) for k in range(1, n)]
 
     def select(now):
+        for k in range(n):
+            # a job served on arrival at an idle server leaves tail[k] behind
+            tail[k] = max(tail[k], head[k])
+            while tail[k] == len(A[k]) or A[k][tail[k]] < now:
+                if tail[k] == len(A[k]):
+                    refill(k)
+                else:
+                    tail[k] += 1
         # move every due jump, in chronological order of jump instants
         while True:
             due = None
@@ -65,6 +75,7 @@ def holpj_jump(D: tuple[float, ...], A: list, head: list, tail: list):
                 return c
             if u < tail[k]:
                 return k
+        return -1
     return select
 
 
@@ -73,5 +84,5 @@ def queue_jump_selector():
     HOLPJ, runs `holpj_jump`; use it as a context manager."""
     return mock.patch(
         "mg1lab.sim._selector",
-        lambda disc, A, head, tail, draw: holpj_jump(disc.D, A, head, tail),
+        lambda disc, A, H, head, tail, refill, draw: holpj_jump(disc.D, A, head, tail, refill),
     )

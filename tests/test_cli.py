@@ -321,6 +321,8 @@ class TestNonFiniteDocuments:
         ("pricing", dict(PRICING_DOC, b=math.inf)),
         ("network", dict(NETWORK_DOC, d=math.inf)),
         ("network", dict(NETWORK_DOC, v1=math.nan)),
+        ("cmu", dict(MODEL_DOC, c1=math.nan, c2=1.0)),
+        ("cmu", dict(MODEL_DOC, c1=math.inf, c2=1.0)),
     ])
     def test_optimize_exit_4(self, tmp_path, capsys, problem, doc):
         p = tmp_path / "cfg.json"
@@ -428,6 +430,8 @@ def fuzz_dir(tmp_path_factory):
     (d / "model.json").write_text(json.dumps(MODEL_DOC))
     (d / "bad.json").write_text(json.dumps({"model": {"classes": [{"lambda": [], "service": 1}]}}))
     (d / "binary.json").write_bytes(b"\xff\xfe{")
+    # json.dumps writes the NaN and Infinity literals that json.load reads
+    (d / "nonfinite.json").write_text(json.dumps(dict(MODEL_DOC, c1=math.nan, c2=math.inf)))
     return d
 
 
@@ -440,7 +444,7 @@ def argvs(draw, d):
     command = draw(st.sampled_from(["analyze", "simulate", "map", "region", "tables", "optimize"]))
     argv = [command]
     config = draw(st.sampled_from(
-        ["model.json"] * 4 + ["bad.json", "binary.json", "missing.json", None]))
+        ["model.json"] * 4 + ["bad.json", "binary.json", "nonfinite.json", "missing.json", None]))
     if config:
         argv += ["--config", str(d / config)]
     for option in (

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -346,6 +347,22 @@ PIN_CASES = {
     **{f"n3-idle/{k}": (lambda d=d: _n3_idle_digest(d)) for k, d in N3_IDLE_DISCS.items()},
 }
 
+# heavy-load RP pins: the low-weight class's queue reaches past its drawn
+# chunk, so RP's own queue count refills it.  Recorded before the event loop
+# gave up the global arrival merge.
+RP_DEEP_CASES = {
+    "rp-deep/n2-exp": (model2(0.485, 0.485), RP((0.05, 0.95))),
+    "rp-deep/n2-h2": (model2(0.6, 0.37, H2), RP((0.02, 0.98))),
+    "rp-deep/n5-exp": (
+        SystemModel(tuple(CustomerClassSpec(x, EXP1) for x in (0.2, 0.2, 0.2, 0.2, 0.17))),
+        RP((0.01, 0.2, 0.3, 0.5, 1.0)),
+    ),
+}
+PIN_CASES.update({
+    k: (lambda m=m, d=d: _digest(_flat(service_start_sequence(m, d, 60_000, 7))))
+    for k, (m, d) in RP_DEEP_CASES.items()
+})
+
 PINS = {
     "n2-h2-30k/rp": "8bd7481f47939d52615cf4eb9dfc60edf24892878b7a55aa1f3f2e7e36003386",
     "n2-h2-30k/edd": "874c67ae469d0fff095c9a4ab43f06ca3bb7958afe618b6d7653a9e53c64d678",
@@ -354,9 +371,33 @@ PINS = {
     "n3-idle/ddp": "9228d7cd46fd4d0dc8a08142fe46bb6cce92c28c0b51e602c6023a2c9ac94d85",
     "n3-idle/rp": "09c9ed0eb3a1a2781cefb745778173a5b5cdddb0dbfb91702d2d9dbe3dbd139c",
     "n3-idle/holpj-jump": "d505e438d536dea52c1802e245847f89968f0480230169864fef59c8cce97202",
+    "rp-deep/n2-exp": "4ed8576e30f041bc64d9a6ab5eed6e93ceac7fa9ed7e91ce99de3706d92b13b3",
+    "rp-deep/n2-h2": "b8f957f824b4374f04b46b25891d51e6b5941418235f9a3b8caf166d67caf227",
+    "rp-deep/n5-exp": "3721e1fa9dede957a76ec3760fe9a00725c16e774578ec670a77527e1bd8a312",
 }
 
 
 @pytest.mark.parametrize("key", list(PIN_CASES))
 def test_golden_pin(key):
     assert PIN_CASES[key]() == PINS[key]
+
+
+def test_memory_does_not_grow_with_run_length():
+    # RP at rho = 0.97 with a low-weight class: its queue often reaches past
+    # the drawn chunk, so the refills that RP's count makes must drop the
+    # served prefix too, or the lists grow with the run
+    m, disc = RP_DEEP_CASES["rp-deep/n2-exp"]
+    # the first call in a process makes one-time allocations; keep them out of both peaks
+    run_sim(m, disc, SimConfig(seed=1, measured_jobs=1000, warmup_jobs=0, replications=1))
+
+    def peak(jobs):
+        cfg = SimConfig(seed=3, measured_jobs=jobs, warmup_jobs=0, replications=1)
+        tracemalloc.start()
+        try:
+            run_sim(m, disc, cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, big = peak(25_000), peak(100_000)
+    assert big < 1.2 * small, (small, big)
