@@ -11,17 +11,27 @@ estimates.
 Each class is its own stream: A[c] and S[c] hold its drawn arrival times
 and services, and head[c] is its next job, whose arrival is H[c].  Every
 discipline serves each class first-come-first-served and is
-non-anticipative, so at each service completion the selection rule picks
+non-anticipative, so at each service completion the discipline picks
 among the classes whose head arrived before that time; when none did, the
 server idles until the earliest head (ties to the lower class).  No global
 arrival order is built: only RP needs queue lengths, and its rule counts
 them itself.  A class refills its chunk once it is used up, dropping its
 served prefix, so memory stays at the queues plus a chunk per class.
+
+Two loops run the replication.  At two classes the heads, indices and
+wait sums are local variables: the loop itself serves the only waiting
+class, or idles to the earlier head, and calls the discipline's
+tie-breaker (`_chooser`) only when both heads wait.  RP at every N and
+every other class count run the list loop, which calls the discipline's
+N-class rule (`_selector`) at every decision: RP's queue count can refill
+a class in mid-queue, which would invalidate the two-class loop's local
+indices.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -121,12 +131,10 @@ class SimConfig:
     replications: int = 10
 
     def __post_init__(self):
-        if self.measured_jobs < 1000:
-            raise InvalidParameterError("measured_jobs must be >= 1000")
-        if self.replications < 1:
-            raise InvalidParameterError("replications must be >= 1")
-        if self.warmup_jobs is not None and self.warmup_jobs < 0:
-            raise InvalidParameterError("warmup_jobs must be >= 0")
+        _check_count("measured_jobs", self.measured_jobs, 1000)
+        _check_count("replications", self.replications, 1)
+        if self.warmup_jobs is not None:
+            _check_count("warmup_jobs", self.warmup_jobs, 0)
 
     @property
     def effective_warmup(self) -> int:
@@ -135,9 +143,20 @@ class SimConfig:
         return max(10_000, self.measured_jobs // 5)
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Reject a count that is not an integer (as `operator.index` decides,
+    so NumPy integers pass) or is below `least`."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise InvalidParameterError(f"{name} must be >= {least}")
+
+
 @dataclass(frozen=True)
 class SimEstimate:
-    mean: tuple[float, ...]
+    mean: tuple[float, ...]  # NaN, as is its CI, for a class with no measured job
     ci_halfwidth_95: tuple[float, ...]
     sample_count: tuple[int, ...]
     residual: float
@@ -204,14 +223,63 @@ def _refiller(model: SystemModel, children, A: list, S: list, head: list, tail: 
 # ---------------------------------------------------------------------------
 # selection rules
 
-def _selector(disc: DisciplineConfig, A: list, H: list, head: list, tail: list, refill, draw):
-    """Build the discipline's selection rule once, before the event loop.
+def _offsets(disc: DisciplineConfig, n: int) -> tuple:
+    """GFCFS, EDD and HOL-PJ (either dispatch) are one rule, serve the
+    smallest arrival + offset; their offsets."""
+    return disc.u if isinstance(disc, EDD) else disc.D if isinstance(disc, HOLPJ) else (0.0,) * n
 
-    The rule is called with the decision time `now` and returns the class
-    whose head job is served next, among the classes whose head arrived
-    strictly before `now` (H[c] = A[c][head[c]] < now), or -1 when none did.
-    It reads only arrival times before `now` (non-anticipative), and draws
-    from the selection substream `draw` only when two or more classes wait.
+
+def _chooser(disc: DisciplineConfig, draw):
+    """Build the two-class tie-breaker `choose(now, a0, a1)`, or None for RP.
+
+    The two-class loop calls it only when both head arrivals a0 and a1 are
+    strictly before `now`; it returns True to serve class 2 (index 1).
+    Only PP strictly between its ends draws from the selection substream
+    `draw`.  RP returns None: it counts its queues, so it runs the list
+    loop with its `_selector` rule."""
+    if isinstance(disc, RP):
+        return None
+    if isinstance(disc, PP):
+        p0 = disc.p[0]  # queue 1's polling probability
+        if 0.0 < p0 < 1.0:
+            return lambda now, a0, a1: draw() >= p0
+        # at its ends PP always polls the same queue first and draws nothing
+        second = p0 == 0.0
+        return lambda now, a0, a1: second
+    if isinstance(disc, Strict):
+        second = disc.order[0] == 1
+        return lambda now, a0, a1: second
+    if isinstance(disc, DDP):
+        b0, b1 = disc.b
+
+        def choose(now, a0, a1):
+            # larger accrued priority (now - arrival) * b; ties to the earlier arrival
+            v0 = (now - a0) * b0
+            v1 = (now - a1) * b1
+            return v1 > v0 or (v1 == v0 and a1 < a0)
+        return choose
+
+    o0, o1 = _offsets(disc, 2)
+
+    def choose(now, a0, a1):
+        # smaller arrival + offset; ties to the earlier arrival
+        v0 = a0 + o0
+        v1 = a1 + o1
+        return v1 < v0 or (v1 == v0 and a1 < a0)
+    return choose
+
+
+def _selector(disc: DisciplineConfig, A: list, H: list, head: list, tail: list, refill, draw):
+    """Build the discipline's N-class selection rule for the list loop,
+    which runs RP at every N and every discipline at N != 2.
+
+    The rule is called at every decision with the decision time `now` and
+    returns the class whose head job is served next, among the classes
+    whose head arrived strictly before `now` (H[c] = A[c][head[c]] < now),
+    or -1 when none did.  It reads only arrival times before `now`
+    (non-anticipative), and draws from the selection substream `draw`
+    only when two or more classes wait.  PP, defined for two classes
+    only, has no rule here: its tie-breaker is built by `_chooser`.
     """
     n = len(A)
     if isinstance(disc, Strict):
@@ -225,21 +293,6 @@ def _selector(disc: DisciplineConfig, A: list, H: list, head: list, tail: list, 
         return select
 
     if isinstance(disc, DDP):
-        if n == 2:
-            b0, b1 = disc.b
-
-            def select(now):
-                # the N-class rule below, unrolled
-                a0, a1 = H
-                if a0 < now:
-                    if a1 < now:
-                        v0 = (now - a0) * b0
-                        v1 = (now - a1) * b1
-                        return 1 if v1 > v0 or (v1 == v0 and a1 < a0) else 0
-                    return 0
-                return 1 if a1 < now else -1
-            return select
-
         rates = list(zip(range(n), disc.b))
 
         def select(now):
@@ -257,36 +310,7 @@ def _selector(disc: DisciplineConfig, A: list, H: list, head: list, tail: list, 
     if isinstance(disc, RP):
         return _rp_selector(disc.p, A, H, head, tail, refill, draw)
 
-    if isinstance(disc, PP):
-        p0 = disc.p[0]
-
-        def select(now):
-            # poll queue 1 with probability p0; an empty queue is skipped, and
-            # a queue that waits alone is served with probability 1
-            a0, a1 = H
-            if a0 < now:
-                return 0 if a1 >= now or p0 >= 1.0 or (p0 > 0.0 and draw() < p0) else 1
-            return 1 if a1 < now else -1
-        return select
-
-    # GFCFS, EDD and HOL-PJ (either dispatch) are one rule: serve min(arrival + offset)
-    offsets = disc.u if isinstance(disc, EDD) else disc.D if isinstance(disc, HOLPJ) else (0.0,) * n
-    if n == 2:
-        o0, o1 = offsets
-
-        def select(now):
-            # the N-class rule below, unrolled
-            a0, a1 = H
-            if a0 < now:
-                if a1 < now:
-                    v0 = a0 + o0
-                    v1 = a1 + o1
-                    return 1 if v1 < v0 or (v1 == v0 and a1 < a0) else 0
-                return 0
-            return 1 if a1 < now else -1
-        return select
-
-    heads = list(zip(range(n), offsets))
+    heads = list(zip(range(n), _offsets(disc, n)))
 
     def select(now):
         # smallest arrival + offset; ties to the earlier arrival
@@ -404,35 +428,90 @@ def _replicate(
     H = [Ac[0] for Ac in A]  # H[c] == A[c][head[c]], class c's head arrival
     rng = np.random.default_rng(children[2 * n])
     draw = chain.from_iterable(rng.random(_CHUNK).tolist() for _ in repeat(None)).__next__
-    select = _selector(disc, A, H, head, tail, refill, draw)
+    choose = _chooser(disc, draw) if n == 2 else None
+    if choose is None:
+        select = _selector(disc, A, H, head, tail, refill, draw)
 
-    completion = -_INF  # end of the current service
+    completion = busy_start = -_INF  # end of the current service; start of the busy period
     for jobs in (warmup, measured):
-        sums = [0.0] * n  # the warmup's are dropped
         first = [s + h for s, h in zip(served, head)]
+        if choose is None:
+            sums = [0.0] * n  # the warmup's are dropped
+            for _ in range(jobs):
+                t = completion
+                c = select(t)
+                if c < 0:
+                    # the server idles until the earliest head arrives, which
+                    # starts at once; ties to the lower class
+                    if boundaries is not None and t > -_INF:
+                        boundaries.append((busy_start, t))
+                    busy_start = t = min(H)
+                    c = H.index(t)
+                a = H[c]
+                h = head[c]
+                completion = t + S[c][h]
+                h += 1
+                head[c] = h
+                try:
+                    H[c] = A[c][h]
+                except IndexError:
+                    refill(c)
+                    H[c] = A[c][0]
+                sums[c] += t - a
+                if trace is not None:
+                    trace.append((t, c, a, t - a))
+            continue
+
+        # two classes: the same loop on local variables, which are written
+        # back to H and head at the end of the window and reloaded after
+        # each refill
+        A0, A1 = A
+        S0, S1 = S
+        a0, a1 = H
+        h0, h1 = head
+        w0 = w1 = 0.0  # the warmup's are dropped
+        t = completion
         for _ in range(jobs):
-            t = completion
-            c = select(t)
-            if c < 0:
-                # the server idles until the earliest head arrives, which
-                # starts at once; ties to the lower class
+            if a0 < t:
+                second = a1 < t and choose(t, a0, a1)
+            elif a1 < t:
+                second = True
+            else:
+                # idle until the earlier head, which starts at once; ties to class 1
                 if boundaries is not None and t > -_INF:
                     boundaries.append((busy_start, t))
-                busy_start = t = min(H)
-                c = H.index(t)
-            a = H[c]
-            h = head[c]
-            completion = t + S[c][h]
-            h += 1
-            head[c] = h
-            try:
-                H[c] = A[c][h]
-            except IndexError:
-                refill(c)
-                H[c] = A[c][0]
-            sums[c] += t - a
-            if trace is not None:
-                trace.append((t, c, a, t - a))
+                second = a1 < a0
+                busy_start = t = a1 if second else a0
+            if second:
+                w1 += t - a1
+                if trace is not None:
+                    trace.append((t, 1, a1, t - a1))
+                t += S1[h1]
+                h1 += 1
+                try:
+                    a1 = A1[h1]
+                except IndexError:
+                    head[1] = h1
+                    refill(1)
+                    h1, A1, S1 = head[1], A[1], S[1]
+                    a1 = A1[h1]
+            else:
+                w0 += t - a0
+                if trace is not None:
+                    trace.append((t, 0, a0, t - a0))
+                t += S0[h0]
+                h0 += 1
+                try:
+                    a0 = A0[h0]
+                except IndexError:
+                    head[0] = h0
+                    refill(0)
+                    h0, A0, S0 = head[0], A[0], S[0]
+                    a0 = A0[h0]
+        completion = t
+        H[:] = a0, a1
+        head[:] = h0, h1
+        sums = [w0, w1]
     counts = [s + h - f for s, h, f in zip(served, head, first)]
     return sums, counts
 
@@ -454,7 +533,8 @@ def run_sim(model: SystemModel, disc: DisciplineConfig, cfg: SimConfig) -> SimEs
     for r, seq in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.replications)):
         sums, counts = _replicate(model, disc, warmup, cfg.measured_jobs, seq)
         for c in range(n):
-            rep_means[r, c] = sums[c] / counts[c] if counts[c] else 0.0
+            # a class with no measured job has no estimate
+            rep_means[r, c] = sums[c] / counts[c] if counts[c] else math.nan
             total_counts[c] += counts[c]
 
     mean = rep_means.mean(axis=0)
@@ -464,8 +544,10 @@ def run_sim(model: SystemModel, disc: DisciplineConfig, cfg: SimConfig) -> SimEs
         tq = stdtrit(cfg.replications - 1, 0.975)
         ci = tq * rep_means.std(axis=0, ddof=1) / math.sqrt(cfg.replications)
     else:
-        ci = np.zeros(n)
-    residual = conservation_residual(model, WaitVector(mean))
+        ci = np.where(np.isnan(mean), math.nan, 0.0)
+    # a class without load adds nothing to the residual, estimated or not
+    w = [0.0 if r == 0 else x for r, x in zip(model.rho_per_class, mean)]
+    residual = math.nan if any(map(math.isnan, w)) else conservation_residual(model, WaitVector(w))
     return SimEstimate(tuple(mean), tuple(ci), tuple(total_counts), residual)
 
 
@@ -475,6 +557,7 @@ def service_start_sequence(
     """Full (time, class, arrival, wait) sequence of the first n_jobs service
     starts for a single replication at the given seed."""
     validate_discipline(model, disc)
+    _check_count("n_jobs", n_jobs, 0)
     trace: list = []
     _replicate(model, disc, 0, n_jobs, np.random.SeedSequence(seed).spawn(1)[0], trace=trace)
     return trace
@@ -487,6 +570,7 @@ def busy_period_boundaries(
     service starts.  Identical across disciplines for a fixed seed because
     the disciplines are work conserving and draws are synchronized."""
     validate_discipline(model, disc)
+    _check_count("n_jobs", n_jobs, 0)
     boundaries: list = []
     seq = np.random.SeedSequence(seed).spawn(1)[0]
     _replicate(model, disc, 0, n_jobs, seq, boundaries=boundaries)

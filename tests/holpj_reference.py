@@ -4,13 +4,15 @@ The simulator serves HOL-PJ by the static-offset rule "smallest
 arrival + D[k]", the same rule as GFCFS and EDD.  The paper defines
 HOL-PJ by priority jumps instead.  `holpj_jump` implements those jumps
 literally, and `queue_jump_selector()` patches it into `mg1lab.sim` so a
-test can compare the two rules on the same seeded draws:
+test can compare the two rules on the same seeded draws (`list_loop()`
+sends two-class models to the loop that calls it):
 
     with queue_jump_selector():
         reference = service_start_sequence(model, HOLPJ(D), n_jobs, seed)
 """
 
 from collections import deque
+from contextlib import contextmanager
 from unittest import mock
 
 
@@ -79,10 +81,21 @@ def holpj_jump(D: tuple[float, ...], A: list, head: list, tail: list, refill):
     return select
 
 
+def list_loop():
+    """Send two-class models through the simulator's list loop, which calls
+    a `_selector` rule at every decision, instead of its two-class loop;
+    use it as a context manager.  The two-class loop calls no `_selector`
+    rule, so a patched rule needs this to be reached at N = 2."""
+    return mock.patch("mg1lab.sim._chooser", lambda disc, draw: None)
+
+
+@contextmanager
 def queue_jump_selector():
     """Patch `mg1lab.sim._selector` so every discipline, which must be a
-    HOLPJ, runs `holpj_jump`; use it as a context manager."""
-    return mock.patch(
+    HOLPJ, runs `holpj_jump`, at every class count; use it as a context
+    manager."""
+    with list_loop(), mock.patch(
         "mg1lab.sim._selector",
         lambda disc, A, H, head, tail, refill, draw: holpj_jump(disc.D, A, head, tail, refill),
-    )
+    ):
+        yield

@@ -147,6 +147,20 @@ class TestSimulate:
         for row in rows:
             assert all(math.isfinite(float(x)) for x in row.split(","))
 
+    def test_empty_class_writes_null(self, tmp_path):
+        # class 2 has no arrivals, so its wait is not estimated
+        doc = json.loads(json.dumps(MODEL_DOC))
+        doc["model"]["classes"][1]["lambda"] = 0.0
+        config, out = tmp_path / "empty.json", tmp_path / "o.json"
+        config.write_text(json.dumps(doc))
+        rc = main(["simulate", "--config", str(config), "--discipline", "gfcfs",
+                   "--seed", "5", "--jobs", "1000", "--replications", "2", "--out", str(out)])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        assert doc["mean"][1] is None and doc["ci_halfwidth_95"][1] is None
+        assert doc["sample_count"][1] == 0
+        assert doc["mean"][0] > 0 and math.isfinite(doc["conservation_residual"])
+
     @pytest.mark.parametrize("argv", [
         ["--discipline", "ddp"],
         ["--discipline", "edd"],

@@ -9,6 +9,7 @@ without an example database, so every run tries the same examples.
 """
 
 import math
+import struct
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,9 +40,10 @@ from mg1lab import (
     service_start_sequence,
 )
 
-from holpj_reference import queue_jump_selector
+from holpj_reference import list_loop, queue_jump_selector
 
 JOBS = 3_000
+REFILL_JOBS = 8_200  # one of two classes then starts over 4096 jobs: a chunk refill
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
 ANALYTIC = settings(PROPERTY, max_examples=300)  # no simulation: cheap examples
 
@@ -112,6 +114,33 @@ def test_holpj_jump_equals_order(data, m, seed):
     assert jump == service_start_sequence(m, HOLPJ(D, "order"), JOBS, seed)
 
 
+def _bits(values):
+    values = [float(x) for x in values]
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+@PROPERTY
+@given(st.data(), st.one_of(models(st.just(2), empty=False), models(st.just(2))), seeds)
+def test_two_class_loop_equals_list_loop(data, m, seed):
+    # the list loop with the N-class rules is the reference for the
+    # two-class loop and its tie-breakers; RP runs only the list loop, and
+    # PP has no N-class rule (test_sim.py pins it and its strict endpoints)
+    cfg = SimConfig(seed=seed, measured_jobs=1_000, warmup_jobs=500, replications=2)
+
+    def outputs(disc):
+        est = run_sim(m, disc, cfg)
+        return (service_start_sequence(m, disc, REFILL_JOBS, seed),
+                busy_period_boundaries(m, disc, JOBS, seed),
+                _bits(est.mean + est.ci_halfwidth_95 + est.sample_count + (est.residual,)))
+
+    for disc in data.draw(disciplines(2)):
+        if isinstance(disc, (RP, PP)):
+            continue
+        with list_loop():
+            reference = outputs(disc)
+        assert outputs(disc) == reference
+
+
 @PROPERTY
 @given(models(), seeds, st.floats(0.0, 5.0))
 def test_edd_equal_urgencies_equals_gfcfs(m, seed, u):
@@ -139,7 +168,9 @@ def test_run_sim_repeats_bit_identical(data, m, seed):
     disc = data.draw(st.sampled_from(data.draw(disciplines(m.n_classes))))
     cfg = SimConfig(seed=seed, measured_jobs=1_000, warmup_jobs=500, replications=2)
     a, b = run_sim(m, disc, cfg), run_sim(m, disc, cfg)
-    assert (a.mean, a.ci_halfwidth_95, a.sample_count) == (b.mean, b.ci_halfwidth_95, b.sample_count)
+    # bytes, not ==: a class without arrivals reports NaN
+    assert _bits(a.mean + a.ci_halfwidth_95 + a.sample_count) == _bits(
+        b.mean + b.ci_halfwidth_95 + b.sample_count)
 
 
 @ANALYTIC

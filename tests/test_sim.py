@@ -18,7 +18,9 @@ from mg1lab import (
     SimConfig,
     Strict,
     SystemModel,
+    WaitVector,
     busy_period_boundaries,
+    conservation_residual,
     edd_config_from_ubar,
     estimate_busy_integral,
     gfcfs_wait,
@@ -91,10 +93,53 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             service_start_sequence(model2(0.0, 0.0), GFCFS(), 1000, 1)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(measured_jobs=1000.5),
+        dict(replications=2.0),
+        dict(warmup_jobs=10.5),
+        dict(measured_jobs="2000"),
+    ])
+    def test_simconfig_counts_must_be_integers(self, kwargs):
+        with pytest.raises(InvalidParameterError):
+            SimConfig(seed=1, **kwargs)
+
+    def test_simconfig_accepts_numpy_integers(self):
+        cfg = SimConfig(seed=1, measured_jobs=np.int64(1000), warmup_jobs=np.int32(0),
+                        replications=np.int64(2))
+        assert run_sim(model2(), GFCFS(), cfg).sample_count == (
+            run_sim(model2(), GFCFS(), SimConfig(seed=1, measured_jobs=1000, warmup_jobs=0,
+                                                 replications=2)).sample_count)
+
+    @pytest.mark.parametrize("run", [service_start_sequence, busy_period_boundaries])
+    @pytest.mark.parametrize("n_jobs", [10.0, -5, 2.5, None])
+    def test_bad_job_count_rejected(self, run, n_jobs):
+        with pytest.raises(InvalidParameterError):
+            run(model2(), GFCFS(), n_jobs, 1)
+
+    @pytest.mark.parametrize("run", [service_start_sequence, busy_period_boundaries])
+    def test_numpy_job_count_accepted(self, run):
+        assert run(model2(), GFCFS(), np.int64(200), 1) == run(model2(), GFCFS(), 200, 1)
+
     def test_negative_warmup_rejected(self):
         with pytest.raises(InvalidParameterError):
             SimConfig(seed=1, warmup_jobs=-1)
         assert SimConfig(seed=1, warmup_jobs=0).effective_warmup == 0
+
+
+class TestEmptyClass:
+    # class 2 has no arrivals: nothing estimates its wait
+    M = model2(0.3, 0.0)
+
+    @pytest.mark.parametrize("replications", [1, 3])
+    def test_reports_nan(self, replications):
+        cfg = SimConfig(seed=3, measured_jobs=2_000, warmup_jobs=500, replications=replications)
+        est = run_sim(self.M, GFCFS(), cfg)
+        assert est.sample_count[1] == 0
+        assert math.isnan(est.mean[1]) and math.isnan(est.ci_halfwidth_95[1])
+        assert math.isfinite(est.mean[0]) and math.isfinite(est.ci_halfwidth_95[0])
+        # the class without load adds nothing to the conservation residual
+        want = conservation_residual(self.M, WaitVector((est.mean[0], 0.0)))
+        assert math.isfinite(est.residual) and est.residual == want
 
 
 class TestDeterminism:
@@ -334,7 +379,11 @@ def _n3_idle_digest(disc):
     values = _flat(service_start_sequence(N3_IDLE, disc, 30_000, 5))
     values += _flat(busy_period_boundaries(N3_IDLE, disc, 30_000, 5))
     est = run_sim(N3_IDLE, disc, N3_IDLE_CFG)
-    return _digest(values + list(est.mean + est.ci_halfwidth_95) + list(est.sample_count))
+    # class 2 has no arrivals, so no estimate: NaN, hashed as the 0.0 that
+    # the pins were recorded with, when a class without jobs reported 0.0
+    assert est.sample_count[1] == 0 and math.isnan(est.mean[1]) and math.isnan(est.ci_halfwidth_95[1])
+    estimate = [0.0 if math.isnan(x) else x for x in est.mean + est.ci_halfwidth_95]
+    return _digest(values + estimate + list(est.sample_count))
 
 
 PIN_CASES = {
