@@ -83,10 +83,10 @@ def _manifest(args: argparse.Namespace) -> dict:
     ts = args.timestamp or _dt.datetime.now(_dt.timezone.utc).isoformat()
     return {
         "command": args.command,
-        "config": args.config,
+        "config": getattr(args, "config", None),
         "seed": getattr(args, "seed", None),
         "out": args.out,
-        "format": args.format,
+        "format": getattr(args, "format", "json"),  # optimize writes JSON only
         "tool_version": __version__,
         "timestamp": ts,
     }
@@ -94,7 +94,7 @@ def _manifest(args: argparse.Namespace) -> dict:
 
 def _emit(args: argparse.Namespace, payload: dict, csv_text: Optional[str] = None) -> None:
     manifest = _manifest(args)
-    if args.format == "csv" and csv_text is not None:
+    if manifest["format"] == "csv":
         text = "# manifest: " + json_dumps(manifest, sort_keys=True) + "\n" + csv_text
     else:
         text = json_dumps({"manifest": manifest, **payload}, sort_keys=True, indent=2) + "\n"
@@ -169,6 +169,9 @@ def _discipline_from_args(args: argparse.Namespace):
     if name == "rp":
         if args.p1 is None:
             return RP(_numbers(args, "p", " or --p1"))
+        # RP's weights are positive: p1 = 1 or 0 is strict priority to class 1 or 2
+        if args.p1 in (0.0, 1.0):
+            return Strict((0, 1) if args.p1 else (1, 0))
         return RP((args.p1, 1.0 - args.p1))
     if name == "pp":
         return PP((_flag(args, "omega1"), 1.0))
@@ -233,7 +236,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "conservation_residual": est.residual,
     }
     csv_text = "class,mean,ci_halfwidth_95,samples\n" + "".join(
-        f"{i + 1},{float(m)!r},{float(c)!r},{n}\n"
+        f"{i + 1},{m!r},{c!r},{n}\n"
         for i, (m, c, n) in enumerate(zip(est.mean, est.ci_halfwidth_95, est.sample_count))
     )
     _emit(args, payload, csv_text)
@@ -394,12 +397,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="path to a JSON configuration document")
-        p.add_argument("--seed", type=int, default=12345)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+    def command(name, func, summary, config=True, csv=True):
+        p = sub.add_parser(name, help=summary)
+        if config:
+            p.add_argument("--config", help="path to a JSON configuration document")
+        if csv:
+            p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--timestamp", help="pin the manifest timestamp (reproducible output)")
+        p.set_defaults(func=func)
+        return p
 
     def discipline_flags(p):
         p.add_argument("--discipline", required=True,
@@ -410,47 +417,36 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--p1", type=float, help="2-class weight for rp")
         p.add_argument("--p", help="comma-separated weights for rp")
         p.add_argument("--omega1", type=float, help="polling probability for pp")
-        p.add_argument("--u", help="comma-separated urgencies (edd) or deadlines (holpj)")
-        p.add_argument("--integral", type=float, help="busy-period integral value for edd analysis")
-        p.add_argument("--sign", default="nonneg", choices=("nonneg", "neg"))
 
-    p = sub.add_parser("analyze", help="closed-form mean waits")
-    common(p)
+    p = command("analyze", cmd_analyze, "closed-form mean waits")
     discipline_flags(p)
-    p.set_defaults(func=cmd_analyze)
+    p.add_argument("--integral", type=float, help="busy-period integral value for edd analysis")
+    p.add_argument("--sign", default="nonneg", choices=("nonneg", "neg"))
 
-    p = sub.add_parser("simulate", help="seeded replicated simulation estimate")
-    common(p)
+    p = command("simulate", cmd_simulate, "seeded replicated simulation estimate")
     discipline_flags(p)
+    p.add_argument("--u", help="comma-separated urgencies (edd) or deadlines (holpj)")
+    p.add_argument("--seed", type=int, default=12345)
     p.add_argument("--jobs", type=int, default=100_000)
     p.add_argument("--warmup", type=int, default=None)
     p.add_argument("--replications", type=int, default=10)
     p.add_argument("--trace", help="also write a per-service-start CSV trace to this path")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("map", help="transform a scheme parameter")
-    common(p)
+    p = command("map", cmd_map, "transform a scheme parameter")
     p.add_argument("--from", dest="source", required=True, help="scheme:value, e.g. rp:0.5")
     p.add_argument("--to", required=True)
     p.add_argument("--sign", default="nonneg", choices=("nonneg", "neg"))
-    p.set_defaults(func=cmd_map)
 
-    p = sub.add_parser("region", help="achievable segment endpoints and sweep")
-    common(p)
+    p = command("region", cmd_region, "achievable segment endpoints and sweep")
     p.add_argument("--points", type=int, default=11)
-    p.set_defaults(func=cmd_region)
 
-    p = sub.add_parser("tables", help="embedded benchmark tables")
-    common(p)
+    p = command("tables", cmd_tables, "embedded benchmark tables", config=False)
     p.add_argument("which", choices=("table1", "table2"))
     p.add_argument("--check", action="store_true",
                    help="compare against embedded expected values")
-    p.set_defaults(func=cmd_tables)
 
-    p = sub.add_parser("optimize", help="control-problem solvers")
-    common(p)
+    p = command("optimize", cmd_optimize, "control-problem solvers", csv=False)
     p.add_argument("problem", choices=("cmu", "hpc", "cloud", "pricing", "network", "fairness"))
-    p.set_defaults(func=cmd_optimize)
 
     return parser
 

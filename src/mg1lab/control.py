@@ -111,20 +111,6 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -
     return (*max(candidates, key=lambda t: t[1]), calls)
 
 
-def _exact_product(a: float, b: float) -> tuple[float, float]:
-    """(p, e) with p the rounded product a*b and p + e exactly a*b: Dekker's
-    product on Veltkamp halves, for |a|, |b| well inside the float range."""
-
-    def halves(x):
-        t = 134217729.0 * x  # 2**27 + 1
-        hi = t - (t - x)
-        return hi, x - hi
-
-    p = a * b
-    (ah, al), (bh, bl) = halves(a), halves(b)
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
 # ---------------------------------------------------------------------------
 # network utility with a delay deadline
 
@@ -484,7 +470,11 @@ def _cloud_certify(cfg: CloudConfig, p1: float, r_best: float) -> tuple[float, i
     return max(0.0, float(gain.max())), int(running.sum()), steps
 
 
-def cloud_revenue_opt(cfg: CloudConfig, theta_tol: float = 1e-7) -> ControlSolution:
+#: price resolution of the cloud rate searches: each ends at a bracket of _THETA_TOL*b_i
+_THETA_TOL = 1e-7
+
+
+def cloud_revenue_opt(cfg: CloudConfig) -> ControlSolution:
     """Maximize theta1*l1 + theta2*l2 over prices and the priority weight.
 
     The search runs over the arrival rates (l1, l2) and recovers each price
@@ -492,10 +482,10 @@ def cloud_revenue_opt(cfg: CloudConfig, theta_tol: float = 1e-7) -> ControlSolut
     wait at those rates, so every candidate is an exact demand equilibrium
     at one closed-form wait evaluation.  Rates whose price would leave
     [0, a_i/b_i], or whose wait breaks its SLA cap T_i, are rejected.
-    Nested golden-section over the two rates; theta_tol bounds the final
-    bracket of each rate search to theta_tol*b_i, a price resolution of
-    theta_tol in the delay-free part of the inverse demand.  `evaluations`
-    counts the rate pairs scored.
+    Nested golden-section over the two rates; the final bracket of each
+    rate search is 1e-7*b_i, a price resolution of 1e-7 in the delay-free
+    part of the inverse demand.  `evaluations` counts the rate pairs
+    scored.
 
     The weight needs no search (the paper's c/rho argument): at fixed rates
     the revenue moves along the achievable segment with slope
@@ -545,12 +535,12 @@ def cloud_revenue_opt(cfg: CloudConfig, theta_tol: float = 1e-7) -> ControlSolut
     def inner(l1):
         nonlocal evaluations
         if l1 not in searched:
-            l2, r, calls = _golden_max(lambda x: best_end(l1, x)[0], 0.0, a2, theta_tol * b2)
+            l2, r, calls = _golden_max(lambda x: best_end(l1, x)[0], 0.0, a2, _THETA_TOL * b2)
             evaluations += calls
             searched[l1] = l2, r
         return searched[l1]
 
-    l1 = _golden_max(lambda x: inner(x)[1], 0.0, a1, theta_tol * b1)[0]
+    l1 = _golden_max(lambda x: inner(x)[1], 0.0, a1, _THETA_TOL * b1)[0]
     # zero rates are always admissible (zero waits, revenue 0), so r_best is finite
     l2, r_best = inner(l1)
     _, p_best, (theta1, theta2, w1, w2) = best_end(l1, l2)
@@ -648,13 +638,12 @@ def joint_pricing_T1(cfg: JointPricingConfig) -> ControlSolution:
     # excess W_p(0) - S_p is S_p*s^2*(l - l_k)*(l_far - l)/((1 - rho)*(1 -
     # l*s)), with no difference of two O(S_p) waits.  S_p may sit within
     # rounding of the zero-rate wait, where l_k is tiny, so the constant
-    # S_p*(1 - rho_p) - lam_p*E[S^2]/2 is summed from exact parts
+    # S_p*(1 - rho_p) - lam_p*E[S^2]/2 is computed in exact integers and
+    # rounded once
     l_k = l_far = _INF
     if math.isfinite(cfg.S_p):
-        one_less = 1.0 - r_p  # 1 - rho_p is one_less + ((1 - one_less) - r_p) exactly
-        const = math.fsum((*_exact_product(cfg.S_p, one_less),
-                           *_exact_product(cfg.S_p, (1.0 - one_less) - r_p),
-                           *_exact_product(-0.5 * lam_p, s2)))
+        (a, b), (c, d), (e, f), (g, h) = (x.as_integer_ratio() for x in (cfg.S_p, r_p, lam_p, s2))
+        const = (2 * a * (d - c) * f * h - b * d * e * g) / (2 * b * d * f * h)
         qb = (2.0 - r_p) * s + 0.5 * s2 / cfg.S_p
         qc = const / cfg.S_p
         root = math.sqrt(qb * qb - 4.0 * s * s * qc)

@@ -131,6 +131,7 @@ class SimConfig:
     replications: int = 10
 
     def __post_init__(self):
+        _check_count("seed", self.seed, 0)
         _check_count("measured_jobs", self.measured_jobs, 1000)
         _check_count("replications", self.replications, 1)
         if self.warmup_jobs is not None:
@@ -144,8 +145,8 @@ class SimConfig:
 
 
 def _check_count(name: str, value, least: int) -> None:
-    """Reject a count that is not an integer (as `operator.index` decides,
-    so NumPy integers pass) or is below `least`."""
+    """Reject a count or seed that is not an integer (as `operator.index`
+    decides, so NumPy integers pass) or is below `least`."""
     try:
         operator.index(value)
     except TypeError:
@@ -157,7 +158,7 @@ def _check_count(name: str, value, least: int) -> None:
 @dataclass(frozen=True)
 class SimEstimate:
     mean: tuple[float, ...]  # NaN, as is its CI, for a class with no measured job
-    ci_halfwidth_95: tuple[float, ...]
+    ci_halfwidth_95: tuple[float, ...]  # NaN for every class at one replication
     sample_count: tuple[int, ...]
     residual: float
 
@@ -523,7 +524,8 @@ def run_sim(model: SystemModel, disc: DisciplineConfig, cfg: SimConfig) -> SimEs
     """Replicated simulation estimate of per-class mean waiting times.
 
     Means are replication averages; the 95% CI half-width uses the
-    t-quantile on the across-replication variance.
+    t-quantile on the across-replication variance, and is NaN with a
+    single replication.
     """
     validate_discipline(model, disc)
     warmup = cfg.effective_warmup
@@ -537,18 +539,18 @@ def run_sim(model: SystemModel, disc: DisciplineConfig, cfg: SimConfig) -> SimEs
             rep_means[r, c] = sums[c] / counts[c] if counts[c] else math.nan
             total_counts[c] += counts[c]
 
-    mean = rep_means.mean(axis=0)
+    mean = tuple(map(float, rep_means.mean(axis=0)))
     if cfg.replications > 1:
         from scipy.special import stdtrit  # t-quantile; scipy loads only here
 
         tq = stdtrit(cfg.replications - 1, 0.975)
-        ci = tq * rep_means.std(axis=0, ddof=1) / math.sqrt(cfg.replications)
-    else:
-        ci = np.where(np.isnan(mean), math.nan, 0.0)
+        ci = tuple(map(float, tq * rep_means.std(axis=0, ddof=1) / math.sqrt(cfg.replications)))
+    else:  # one replication estimates no spread
+        ci = (math.nan,) * n
     # a class without load adds nothing to the residual, estimated or not
     w = [0.0 if r == 0 else x for r, x in zip(model.rho_per_class, mean)]
     residual = math.nan if any(map(math.isnan, w)) else conservation_residual(model, WaitVector(w))
-    return SimEstimate(tuple(mean), tuple(ci), tuple(total_counts), residual)
+    return SimEstimate(mean, ci, tuple(total_counts), residual)
 
 
 def service_start_sequence(
@@ -558,6 +560,7 @@ def service_start_sequence(
     starts for a single replication at the given seed."""
     validate_discipline(model, disc)
     _check_count("n_jobs", n_jobs, 0)
+    _check_count("seed", seed, 0)
     trace: list = []
     _replicate(model, disc, 0, n_jobs, np.random.SeedSequence(seed).spawn(1)[0], trace=trace)
     return trace
@@ -571,6 +574,7 @@ def busy_period_boundaries(
     the disciplines are work conserving and draws are synchronized."""
     validate_discipline(model, disc)
     _check_count("n_jobs", n_jobs, 0)
+    _check_count("seed", seed, 0)
     boundaries: list = []
     seq = np.random.SeedSequence(seed).spawn(1)[0]
     _replicate(model, disc, 0, n_jobs, seq, boundaries=boundaries)

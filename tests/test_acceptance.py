@@ -347,13 +347,13 @@ def test_10_pricing_solvers():
 
     # cloud pricing: delay-insensitive closed form and grid dominance
     c0 = CloudConfig(mu=1.0, scv=1.0, a=(1.0, 1.0), b=(2.0, 2.0), c=(0.0, 0.0))
-    sol0 = cloud_revenue_opt(c0, theta_tol=1e-12)
+    sol0 = cloud_revenue_opt(c0)
     assert abs(sol0.params["theta1"] - 0.25) < 1e-9
     assert abs(sol0.params["theta2"] - 0.25) < 1e-9
     assert abs(sol0.objective - 0.25) < 1e-9
     assert sol0.objective >= _cloud_grid_max(c0, sol0.params["p1"]) - 1e-6
 
     cpos = CloudConfig(mu=1.0, scv=1.0, a=(0.8, 0.8), b=(1.5, 1.5), c=(0.2, 0.2), T=(5.0, 5.0))
-    solp = cloud_revenue_opt(cpos, theta_tol=1e-7)
+    solp = cloud_revenue_opt(cpos)
     assert solp.objective >= _cloud_grid_max(cpos, solp.params["p1"]) - 1e-6
     _report(10, "both pricing solvers dominate 500x500 grids; c=0 vertices exact to 1e-9")

@@ -126,6 +126,8 @@ class TestSimulate:
         lines = trace.read_text().splitlines()
         assert lines[0] == "time,class,arrival_time,wait"
         assert len(lines) == 1001
+        # one replication estimates no spread
+        assert json.loads((tmp_path / "o.json").read_text())["ci_halfwidth_95"] == [None, None]
 
     def test_trace_fields_parse(self, model_path, tmp_path):
         trace = tmp_path / "trace.csv"
@@ -189,6 +191,18 @@ class TestSimulate:
             outs.append(json.loads(out.read_text())["mean"])
         assert outs[0] == outs[1]  # --beta b means rates (1, b)
         assert outs[2] == outs[3]  # --beta inf is strict priority to class 2
+
+    def test_rp_weight_ends_are_strict(self, model_path, tmp_path):
+        def mean(*argv):
+            out = tmp_path / "o.json"
+            assert main(["simulate", "--config", model_path, *argv, "--jobs", "1000",
+                         "--replications", "2", "--out", str(out)]) == 0
+            return json.loads(out.read_text())["mean"]
+
+        first = mean("--discipline", "rp", "--p1", "1")
+        assert first == mean("--discipline", "strict", "--order", "0,1")
+        assert first[0] < first[1]
+        assert mean("--discipline", "rp", "--p1", "0") == mean("--discipline", "strict", "--order", "1,0")
 
 
 class TestMap:
@@ -393,6 +407,47 @@ class TestMalformedDocuments:
         assert main(["region", "--config", model_path, "--points", points]) == 2
 
 
+class TestRemovedFlags:
+    """Each subcommand takes only the flags it reads: a flag another
+    subcommand takes is an unrecognized argument (argparse exits 2)."""
+
+    @pytest.mark.parametrize("argv, removed", [
+        (["analyze", "--discipline", "gfcfs"], ["--seed", "1"]),
+        (["map", "--from", "rp:0.5", "--to", "ddp"], ["--seed", "1"]),
+        (["region"], ["--seed", "1"]),
+        (["tables", "table1"], ["--seed", "1"]),
+        (["optimize", "fairness"], ["--seed", "1"]),
+        (["tables", "table1"], ["--config", "model.json"]),
+        (["optimize", "fairness"], ["--format", "csv"]),
+        (["analyze", "--discipline", "edd", "--integral", "0.1"], ["--u", "1,0"]),
+        (["simulate", "--discipline", "edd", "--u", "1,0"], ["--integral", "0.1"]),
+        (["simulate", "--discipline", "gfcfs"], ["--sign", "neg"]),
+    ])
+    def test_exit_2(self, model_path, tmp_path, capsys, argv, removed):
+        # the command line runs without the flag and stops at argparse with it
+        common = ["--out", str(tmp_path / "o.json")]
+        if argv[0] != "tables":
+            common += ["--config", model_path]
+        if argv[0] == "simulate":
+            common += ["--jobs", "1000", "--replications", "2"]
+        assert main([*argv, *common]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *common, *removed])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(removed)}" in err and "Traceback" not in err
+
+    def test_manifest_records_only_what_the_command_takes(self, model_path, tmp_path):
+        out = tmp_path / "o.json"
+        assert main(["optimize", "fairness", "--config", model_path, "--out", str(out)]) == 0
+        manifest = json.loads(out.read_text())["manifest"]
+        assert manifest["seed"] is None and manifest["format"] == "json"
+        assert manifest["config"] == model_path
+        assert main(["tables", "table1", "--out", str(out)]) == 0
+        manifest = json.loads(out.read_text())["manifest"]
+        assert manifest["seed"] is None and manifest["config"] is None
+
+
 class TestIntegralRange:
     """`analyze --discipline edd --integral X` and `map --from edd:X` accept
     the same integrals."""
@@ -429,12 +484,16 @@ MALFORMED = st.sampled_from(["", "x", "1,", ",", "1,,2", "0x1", "--", "1;2", "No
 VALUES = st.one_of(NUMBERS, st.lists(NUMBERS, min_size=2, max_size=2).map(",".join),
                    MALFORMED, st.lists(NUMBERS, max_size=3).map(",".join))
 INTS = st.sampled_from(["-5", "-1", "0", "1", "2", "3", "7", "2.5", "x", ""])
-#: the flags each discipline reads, one group drawn per command line
+#: the flags each discipline reads in each command, one group drawn per command line
 DISCIPLINE_FLAGS = {
     "gfcfs": [[]], "strict": [["--order"]], "ddp": [["--beta"], ["--b"]],
-    "rp": [["--p1"], ["--p"]], "pp": [["--omega1"]], "edd": [["--u"], ["--integral"]],
-    "holpj": [["--u"]],
+    "rp": [["--p1"], ["--p"]], "pp": [["--omega1"]],
 }
+COMMAND_FLAGS = {
+    "analyze": dict(DISCIPLINE_FLAGS, edd=[["--integral"]], holpj=[[]]),
+    "simulate": dict(DISCIPLINE_FLAGS, edd=[["--u"]], holpj=[["--u"]]),
+}
+SIGNS = st.sampled_from(["neg", "nonneg"])
 FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
@@ -455,39 +514,45 @@ def _option(flag, values):
 
 @st.composite
 def argvs(draw, d):
+    """A command line that uses only flags its command takes."""
     command = draw(st.sampled_from(["analyze", "simulate", "map", "region", "tables", "optimize"]))
     argv = [command]
     config = draw(st.sampled_from(
         ["model.json"] * 4 + ["bad.json", "binary.json", "nonfinite.json", "missing.json", None]))
-    if config:
+    if config and command != "tables":
         argv += ["--config", str(d / config)]
-    for option in (
-        _option("--seed", INTS | st.integers(-(2**65), 2**65).map(str)),
-        _option("--format", st.sampled_from(["json", "csv"])),
+    common = [
         _option("--out", st.sampled_from([str(d / "out"), str(d), ""])),
         _option("--timestamp", st.sampled_from(["2000-01-01T00:00:00Z", ""])),
-    ):
+    ]
+    if command != "optimize":
+        common.append(_option("--format", st.sampled_from(["json", "csv"])))
+    if command == "simulate":
+        common.append(_option("--seed", INTS | st.integers(-(2**65), 2**65).map(str)))
+    for option in common:
         argv += draw(option | st.just([]))
     options = []
-    if command in ("analyze", "simulate"):
-        discipline = draw(st.sampled_from(sorted(DISCIPLINE_FLAGS)))
+    if command in COMMAND_FLAGS:
+        flags = COMMAND_FLAGS[command]
+        discipline = draw(st.sampled_from(sorted(flags)))
         argv += ["--discipline", discipline]
-        for flag in draw(st.sampled_from(DISCIPLINE_FLAGS[discipline])):
+        for flag in draw(st.sampled_from(flags[discipline])):
             argv += [flag, draw(VALUES)]
-        options += [_option(flag, VALUES) for flag in
-                    ("--order", "--beta", "--b", "--p1", "--p", "--omega1", "--u", "--integral")]
-        options += [_option("--sign", st.sampled_from(["neg", "nonneg"]))]
-    if command == "simulate":
+        options += [_option(flag, VALUES) for flag in ("--order", "--beta", "--b", "--p1", "--p", "--omega1")]
+    if command == "analyze":
+        options += [_option("--integral", VALUES), _option("--sign", SIGNS)]
+    elif command == "simulate":
         # small runs: at most 1200 measured and 50 warm-up jobs, 2 replications
         argv += ["--jobs", draw(st.sampled_from(["1000", "1200"]) | INTS),
                  "--warmup", draw(st.sampled_from(["0", "50"]) | INTS),
                  "--replications", draw(st.sampled_from(["1", "2"]) | INTS)]
-        options.append(_option("--trace", st.sampled_from([str(d / "trace.csv"), str(d)])))
+        options += [_option("--u", VALUES),
+                    _option("--trace", st.sampled_from([str(d / "trace.csv"), str(d)]))]
     elif command == "map":
         schemes = st.sampled_from(["ddp", "rp", "edd", "holpj", "pp", "xyz", ""])
         argv += ["--from", draw(st.tuples(schemes, VALUES).map(":".join) | MALFORMED),
                  "--to", draw(schemes)]
-        options.append(_option("--sign", st.sampled_from(["neg", "nonneg"])))
+        options.append(_option("--sign", SIGNS))
     elif command == "region":
         options.append(_option("--points", INTS | st.integers(-3, 40).map(str)))
     elif command == "tables":

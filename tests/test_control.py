@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -261,7 +262,7 @@ class TestHpc:
 class TestCloud:
     def test_delay_insensitive_closed_form(self):
         cfg = CloudConfig(mu=1.0, scv=1.0, a=(1.0, 1.0), b=(2.0, 2.0), c=(0.0, 0.0))
-        sol = cloud_revenue_opt(cfg, theta_tol=1e-12)
+        sol = cloud_revenue_opt(cfg)
         assert sol.params["theta1"] == pytest.approx(0.25, abs=1e-9)
         assert sol.params["theta2"] == pytest.approx(0.25, abs=1e-9)
         assert sol.objective == pytest.approx(0.25, abs=1e-9)
@@ -272,7 +273,7 @@ class TestCloud:
         # given load split), so prices may differ but demands must not, and
         # the value must match a priority-free benchmark
         cfg = CloudConfig(mu=1.0, scv=1.0, a=(0.8, 0.8), b=(1.5, 1.5), c=(0.2, 0.2))
-        sol = cloud_revenue_opt(cfg, theta_tol=1e-6)
+        sol = cloud_revenue_opt(cfg)
         l1, l2 = sol.diagnostics["lambda1"], sol.diagnostics["lambda2"]
         assert l1 == pytest.approx(l2, abs=1e-3)
 
@@ -291,7 +292,7 @@ class TestCloud:
 
     def test_objective_reproducible(self):
         cfg = CloudConfig(mu=1.0, scv=1.0, a=(0.8, 0.8), b=(1.5, 1.5), c=(0.2, 0.2))
-        sol = cloud_revenue_opt(cfg, theta_tol=1e-6)
+        sol = cloud_revenue_opt(cfg)
         l1, l2 = sol.diagnostics["lambda1"], sol.diagnostics["lambda2"]
         again = sol.params["theta1"] * l1 + sol.params["theta2"] * l2
         assert again == pytest.approx(sol.objective, abs=1e-9)
@@ -316,9 +317,11 @@ class TestSolverHelpers:
 
     def test_cloud_p_grid_is_removed(self):
         cfg = CloudConfig(mu=1.0, scv=1.0, a=(1.0, 1.0), b=(2.0, 2.0), c=(0.0, 0.0))
-        with pytest.raises(TypeError):
-            cloud_revenue_opt(cfg, p_grid=41, theta_tol=1e-6)
-        sol = cloud_revenue_opt(cfg, theta_tol=1e-6)
+        # the weight grid and the rate-search bracket are no longer settings
+        for removed in ({"p_grid": 41}, {"theta_tol": 1e-7}):
+            with pytest.raises(TypeError):
+                cloud_revenue_opt(cfg, **removed)
+        sol = cloud_revenue_opt(cfg)
         assert sol.diagnostics["evaluations"] > 0
 
     def test_joint_reports_evaluations(self):
@@ -411,6 +414,17 @@ class TestCloudEquilibrium:
     @given(cloud_configs())
     def test_weight_optimal_on_random_configs(self, cfg):
         _assert_weight_optimal(cfg)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(cloud_configs().map(lambda cfg: dataclasses.replace(cfg, c=(0.0, 0.0), T=(math.inf,) * 2)))
+    def test_delay_blind_price_resolution(self, cfg):
+        # the rate searches' final bracket, 1e-7*b_i, resolves each price to
+        # 1e-7 of the closed form a_i/(2*b_i); the revenue is flat there
+        sol = cloud_revenue_opt(cfg)
+        for a, b, theta in zip(cfg.a, cfg.b, (sol.params["theta1"], sol.params["theta2"])):
+            assert abs(theta - a / (2.0 * b)) <= 1e-7
+        want = sum(a * a / (4.0 * b) for a, b in zip(cfg.a, cfg.b))
+        assert sol.objective == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize(
         "cfg, binding",

@@ -104,7 +104,7 @@ class TestValidation:
             SimConfig(seed=1, **kwargs)
 
     def test_simconfig_accepts_numpy_integers(self):
-        cfg = SimConfig(seed=1, measured_jobs=np.int64(1000), warmup_jobs=np.int32(0),
+        cfg = SimConfig(seed=np.uint32(1), measured_jobs=np.int64(1000), warmup_jobs=np.int32(0),
                         replications=np.int64(2))
         assert run_sim(model2(), GFCFS(), cfg).sample_count == (
             run_sim(model2(), GFCFS(), SimConfig(seed=1, measured_jobs=1000, warmup_jobs=0,
@@ -118,7 +118,15 @@ class TestValidation:
 
     @pytest.mark.parametrize("run", [service_start_sequence, busy_period_boundaries])
     def test_numpy_job_count_accepted(self, run):
-        assert run(model2(), GFCFS(), np.int64(200), 1) == run(model2(), GFCFS(), 200, 1)
+        assert run(model2(), GFCFS(), np.int64(200), np.int64(1)) == run(model2(), GFCFS(), 200, 1)
+
+    @pytest.mark.parametrize("seed", [1.5, "3", -1, None])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(InvalidParameterError):
+            SimConfig(seed=seed)
+        for run in (service_start_sequence, busy_period_boundaries):
+            with pytest.raises(InvalidParameterError):
+                run(model2(), GFCFS(), 200, seed)
 
     def test_negative_warmup_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -136,7 +144,10 @@ class TestEmptyClass:
         est = run_sim(self.M, GFCFS(), cfg)
         assert est.sample_count[1] == 0
         assert math.isnan(est.mean[1]) and math.isnan(est.ci_halfwidth_95[1])
-        assert math.isfinite(est.mean[0]) and math.isfinite(est.ci_halfwidth_95[0])
+        assert math.isfinite(est.mean[0])
+        # one replication estimates no spread
+        assert math.isfinite(est.ci_halfwidth_95[0]) == (replications > 1)
+        assert all(type(x) is float for x in est.mean + est.ci_halfwidth_95)
         # the class without load adds nothing to the conservation residual
         want = conservation_residual(self.M, WaitVector((est.mean[0], 0.0)))
         assert math.isfinite(est.residual) and est.residual == want
