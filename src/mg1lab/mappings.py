@@ -224,7 +224,7 @@ def achieve_target(
         }[scheme]
         return SchemeParameter(scheme, endpoint, {"case": "endpoint"})
 
-    if scheme in ("rp", "ddp"):
+    if scheme not in SIMULATED_SCHEMES:
         p1 = _p1_of_w1(model, w1_star)
         value = p1 if scheme == "rp" else beta_from_p1(rho, p1)
         return SchemeParameter(scheme, value, {"case": "analytic"})

@@ -517,6 +517,33 @@ def _replicate(
     return sums, counts
 
 
+def _t975(df: int) -> float:
+    """The t at which P(|T| <= t) = 0.95 on df degrees of freedom.  With
+    theta = atan(t / sqrt(df)), P is sin(theta) times a finite sum of powers
+    of cos(theta); for odd df, theta is added and the total scaled by 2 / pi
+    (Abramowitz & Stegun 26.7.3-4).  sin(theta) = t / sqrt(df + t^2) and
+    cos^2(theta) = df / (df + t^2), so only odd df needs atan.  P is concave
+    in t, so Newton's method from t = 0 rises monotonically to the root; it
+    stops once a step no longer raises t."""
+    odd = df % 2
+    goal = 0.475 * math.pi if odd else 0.95  # 0.95, times pi / 2 for odd df
+    t = 0.0
+    while True:
+        r = df + t * t
+        c2 = df / r
+        # the terms coef_j * cos^j(theta), j = odd, odd + 2, ...: `total` adds
+        # those below df; `term` ends at j = df, where dP/dt = df * term / sqrt(r)
+        term, total = math.sqrt(c2) if odd else 1.0, 0.0
+        for j in range(odd + 2, df + 1, 2):
+            total += term
+            term *= c2 * (j - 1) / j
+        p = t / math.sqrt(r) * total + (math.atan(t / math.sqrt(df)) if odd else 0.0)
+        step = (goal - p) / (df * term / math.sqrt(r))
+        if not t + step > t:
+            return t
+        t += step
+
+
 # ---------------------------------------------------------------------------
 # public entry points
 
@@ -541,9 +568,7 @@ def run_sim(model: SystemModel, disc: DisciplineConfig, cfg: SimConfig) -> SimEs
 
     mean = tuple(map(float, rep_means.mean(axis=0)))
     if cfg.replications > 1:
-        from scipy.special import stdtrit  # t-quantile; scipy loads only here
-
-        tq = stdtrit(cfg.replications - 1, 0.975)
+        tq = _t975(cfg.replications - 1)
         ci = tuple(map(float, tq * rep_means.std(axis=0, ddof=1) / math.sqrt(cfg.replications)))
     else:  # one replication estimates no spread
         ci = (math.nan,) * n

@@ -16,32 +16,33 @@ def test_all_names_exist_and_none_is_a_module():
         assert not isinstance(getattr(mg1lab, name), types.ModuleType), name
 
 
-def test_import_loads_no_scipy():
-    # a fresh interpreter: this test process may have loaded scipy already
-    code = (
-        "import sys; import mg1lab; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env={**os.environ, "PYTHONPATH": SRC},
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
-
-
-def test_control_solvers_load_no_scipy_optimize():
-    # every control solver, the constrained computing-service one on a
-    # binding service level, in a fresh interpreter
+def test_no_path_needs_scipy(tmp_path):
+    # a fresh interpreter in which `import scipy` fails: the simulator, both
+    # kinds of target search, every control solver the package has and every
+    # CLI subcommand run without it
     code = """
-import math, sys
+import json, os, sys
+sys.modules["scipy"] = None
 import mg1lab as m
+from mg1lab.cli import main
 E = m.ServiceDistribution.exponential(1.0)
 D = m.ServiceDistribution.deterministic(1.0)
 model = m.SystemModel((m.CustomerClassSpec(0.3, E), m.CustomerClassSpec(0.2, E)))
+for reps in (1, 3):
+    m.run_sim(model, m.GFCFS(), m.SimConfig(seed=1, measured_jobs=1000, warmup_jobs=100,
+                                             replications=reps))
+m.service_start_sequence(model, m.EDD((0.5, 0.0)), 500, 2)
+m.busy_period_boundaries(model, m.RP((0.3, 0.7)), 500, 2)
+small = m.SimConfig(seed=3, measured_jobs=2000, warmup_jobs=200, replications=3)
+m.estimate_busy_integral(model, 1.0, small)
+target = m.SegmentTarget(alpha=0.4)
+m.achieve_target(model, target, "rp")
+
+def oracle(ubar):
+    est = m.run_sim(model, m.edd_config_from_ubar(model, ubar), small)
+    return est.mean[0], est.ci_halfwidth_95[0]
+
+m.achieve_target(model, target, "edd", sim_oracle=oracle)
 net = m.NetworkUtilityConfig(
     m.SystemModel((m.CustomerClassSpec(0.25, D), m.CustomerClassSpec(0.25, D))),
     4.912, 0.01, 1.0, 1.0, 1.0, 1.0)
@@ -55,14 +56,31 @@ m.hpc_utility_opt(m.HpcConfig(**hpc))
 assert m.hpc_revenue_constrained(m.HpcConfig(**hpc, S_R=0.7)).active_constraints == ("S_R",)
 m.cloud_revenue_opt(m.CloudConfig(mu=1.0, scv=1.0, a=(0.8, 0.8), b=(1.5, 1.5), c=(0.2, 0.2)))
 m.joint_pricing_T1(m.JointPricingConfig(0.3, 1.0, 1.0, 0.7, 2.0, 1.0, 1.0))
-print(sorted(k for k in sys.modules if k == "scipy.optimize" or k.startswith("scipy.optimize.")))
+tmp = sys.argv[1]
+config = os.path.join(tmp, "model.json")
+with open(config, "w") as f:
+    json.dump({"model": {"classes": [
+        {"lambda": 0.3, "service": {"kind": "exponential", "mean": 1.0, "scv": 1.0}},
+        {"lambda": 0.2, "service": {"kind": "exponential", "mean": 1.0, "scv": 1.0}},
+    ]}}, f)
+for argv in (
+    ["analyze", "--config", config, "--discipline", "gfcfs"],
+    ["simulate", "--config", config, "--discipline", "gfcfs", "--jobs", "1000",
+     "--warmup", "100", "--replications", "3"],
+    ["map", "--config", config, "--from", "rp:0.5", "--to", "ddp"],
+    ["region", "--config", config, "--points", "3"],
+    ["tables", "table1", "--check"],
+    ["optimize", "fairness", "--config", config],
+):
+    assert main([*argv, "--out", os.path.join(tmp, argv[0] + ".out")]) == 0, argv
+print("ok")
 """
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, str(tmp_path)],
         capture_output=True,
         text=True,
         timeout=120,
         env={**os.environ, "PYTHONPATH": SRC},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "ok"

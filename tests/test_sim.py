@@ -1,5 +1,6 @@
 import hashlib
 import math
+import statistics
 import struct
 import tracemalloc
 
@@ -30,7 +31,7 @@ from mg1lab import (
     strict_priority_waits_2class,
 )
 from mg1lab.errors import InvalidParameterError, WrongClassCountError
-from mg1lab.sim import validate_discipline
+from mg1lab.sim import _t975, validate_discipline
 
 from holpj_reference import queue_jump_selector
 
@@ -247,6 +248,25 @@ class TestMechanisms:
         assert means[-1] + cis[-1] < means[0] - cis[0]
 
 
+class TestTQuantile:
+    def test_matches_scipy(self):
+        stdtrit = pytest.importorskip("scipy.special").stdtrit
+        for df in [*range(1, 301), 1000, 10_000]:
+            want = float(stdtrit(df, 0.975))
+            assert abs(_t975(df) - want) <= 1e-12 * want, df
+
+    def test_closed_forms(self):
+        # df = 1 is Cauchy, tan(0.475 pi); at df = 2, t / sqrt(2 + t^2) = 0.95
+        assert _t975(1) == pytest.approx(math.tan(19 * math.pi / 40), rel=1e-14, abs=0)
+        assert _t975(2) == pytest.approx(math.sqrt(722 / 39), rel=1e-14, abs=0)
+
+    def test_decreases_to_normal_quantile(self):
+        z = statistics.NormalDist().inv_cdf(0.975)
+        q = [_t975(df) for df in (*range(1, 101), 1000, 10_000)]
+        assert all(a > b for a, b in zip(q, q[1:]))
+        assert 0 < q[-1] - z < 1e-3
+
+
 class TestBusyIntegral:
     def test_zero_ubar_gives_zero_integral(self):
         m = model2()
@@ -269,10 +289,12 @@ class TestBusyIntegral:
 
 # ---------------------------------------------------------------------------
 # golden traces: sha256 of the 5k-job service-start sequence and of a small
-# replicated estimate, per discipline.  The event loop may be rewritten, but
-# these digests (recorded before the selector rewrite) must not move: a fixed
-# seed gives bit-identical results.  They pin numpy's PCG64 streams, so a
-# numpy release that changes a sampler would change them too.
+# replicated estimate, per discipline.  A fixed seed gives bit-identical
+# traces and means, so a rewrite of the event loop must not move these
+# digests; the estimate's CI half-widths also carry the t-quantile
+# (`sim._t975`), so a change in its last bits moves them too.  They pin
+# numpy's PCG64 streams, so a numpy release that changes a sampler would
+# change them too.
 
 H2 = ServiceDistribution.hyperexp2(1.0, 4.0)
 N2_DISCS = {
@@ -324,31 +346,31 @@ def _golden_digest(m, disc):
 
 
 GOLDEN = {
-    "n2-exp/gfcfs": "ac9b7352075b5290520f14e7ef17ee9cb8e2bc79f74d23573745bca043d60f78",
-    "n2-exp/strict01": "f887e865582f349659ec0a30f2bfdad0a4b05d39ef171a47afb7545a88928e68",
-    "n2-exp/strict10": "3fb172a69dfc39963790ebcbfbb1a126eae3b3e3a9a2290802eed9dbc6b52161",
-    "n2-exp/ddp": "c28c8e311fe3cf6f769fc5a8c6250c9b60cf915aa0432a32b52b2af0f63ae5f6",
-    "n2-exp/edd": "e0ace2b144120528e383b2e11422559089a48a01fdacf2b7dadfca4d43c2cec5",
-    "n2-exp/rp": "94e2b3ee9abf9662cca7148321423352c3c71156cceff0dbe6a1d1635210556e",
-    "n2-exp/holpj-jump": "5c2f43b7a458146e5084a8bb4faec78748017a2e9f89923ebc33035c182996c9",
-    "n2-exp/holpj-order": "5c2f43b7a458146e5084a8bb4faec78748017a2e9f89923ebc33035c182996c9",
-    "n2-exp/pp": "f0fdf109ece00d9e646073e3fc655aed55af5ae0bb4df6161c944335be89daef",
-    "n2-h2/gfcfs": "06abba8de7437d617c231a4a0c63ca0b15cc83b7b78a87575b03ba75ce549a01",
-    "n2-h2/strict01": "9d3df6df5ecc3c8e2ccf781fd46ab6551878fe864bc718552a78349c79f7dcb5",
-    "n2-h2/strict10": "4cfea20dde04ca7200652cddad6eef9f343c9beb7f4620b1d38e343073296908",
-    "n2-h2/ddp": "762b8071b8c9a3b45c5bb563ed4b2bff1ef6398773ffd8ae4c886b29d41d18dc",
-    "n2-h2/edd": "e5e3ea47c625b36af6a519bae4c180d608ac4e0f75c5c0310d0473844efb3815",
-    "n2-h2/rp": "68134695962ab428c75c9363a20fd6aaf06cf42fe8dbea4f45cbd643f48b51c0",
-    "n2-h2/holpj-jump": "f225368ff3d5743329640e8ca9ab54b0b28ad0d5049d5674f517234650c0af90",
-    "n2-h2/holpj-order": "f225368ff3d5743329640e8ca9ab54b0b28ad0d5049d5674f517234650c0af90",
-    "n2-h2/pp": "59294e0ff58294124ba83c9ee2c7dd9bf70d4f62dcab13129ec34c68b81c0bab",
-    "n5/gfcfs": "a0dddb10ea53590406aa3ae5a2989cc91b14019b95a1e46850a911a407b9d3ee",
-    "n5/strict": "d5870cd5c8942e122f0a74ea6b592121c9a260eb8349da0c0d2cd596560f5db0",
-    "n5/ddp": "58c69b4dc9a23b4e18728d0e48bd83281e9d8feb9ed938d81a992f6f9c5763e3",
-    "n5/edd": "b528dd87fdc48ce5f4e6b05731d336468cac0cc35fe0c306babb0590fa7a1dbb",
-    "n5/rp": "d3c0b51be8f6697b888484672e88e001d65db9deff27161bda044c0128dcc17c",
-    "n5/holpj-jump": "7a149434b136e17e6d363b146347a609472751de1e4a5c94560b6d58edde2699",
-    "n5/holpj-order": "7a149434b136e17e6d363b146347a609472751de1e4a5c94560b6d58edde2699",
+    "n2-exp/gfcfs": "673fdff72ffc184266e903b93b64b3e36ec7fe0802d586789b89a3b043b1f185",
+    "n2-exp/strict01": "3f2b2cb5a6300de458108daf016c4350a824577d33f3d39167598b4bce7e09fb",
+    "n2-exp/strict10": "83732d101b2adba05008bdc7b8bd6b56678f25807fbd2a693eedd96bd76061c8",
+    "n2-exp/ddp": "30c2a9dbd3dc960abe492057fcf7cebdfc40f278a3af557925983ecd04a11ba2",
+    "n2-exp/edd": "638c6d4f8a50b4200589a052bd1c89d5dd9d7ed00438efcdc10ddeea39ffe4c3",
+    "n2-exp/rp": "202b0f245e6ae02b641c1d0f4b4b135b240ef3b6a175a6aa9060004cb26a58ac",
+    "n2-exp/holpj-jump": "5f18dd43699c5e33fdd3b22a6ec27ea91a458e47c69400b38190db9f94489f1e",
+    "n2-exp/holpj-order": "5f18dd43699c5e33fdd3b22a6ec27ea91a458e47c69400b38190db9f94489f1e",
+    "n2-exp/pp": "1942e83de087b61181f3dedacc7cda51665d16264f991dcf06feb03156b10434",
+    "n2-h2/gfcfs": "be3855fbb390d4c28d5ac4f1876e27ed6ea3d86d61e126dd3988240e965e276e",
+    "n2-h2/strict01": "d7c49aac52a477bae2a592b54c875102b1a67ef35e10f4a221b38af0f93958d1",
+    "n2-h2/strict10": "d8a1be921caed865f71072cbfa576d47d5191416644d7baf40b36104fc1b9fa3",
+    "n2-h2/ddp": "c9851dd4d5ceacc829fb5dba403a4550334fd03898c7441618c1c79085af8413",
+    "n2-h2/edd": "17d5ee9cd639622c36948d2a5ab5940ce3f9e30f690369ff301579054007249e",
+    "n2-h2/rp": "ce605c1aa361d5aeba9ea9a4e9a9b162ce7a20563796f075b70e6ccc6fabf217",
+    "n2-h2/holpj-jump": "b8f1cbd2237fe3a3c2409411f67283465d6f0122c15d076a06c0587c3583e830",
+    "n2-h2/holpj-order": "b8f1cbd2237fe3a3c2409411f67283465d6f0122c15d076a06c0587c3583e830",
+    "n2-h2/pp": "1e6cb3269b03e2c5fefab8b3f5feab9984179ddc8fad38d5f369f92d7fd1230b",
+    "n5/gfcfs": "be209a3eeb5fd948232398bfdd86603b95ad135e71beaaccf716392ca7ac828f",
+    "n5/strict": "e5a989c7e9acb2b060f377ffc3002601ad76e1967d18f58ddc66a6bd91730cd8",
+    "n5/ddp": "222df95acdc96c307057a0964e4867266fbf70924d6df30fab8c9680f98342f2",
+    "n5/edd": "debb9003124b433ebd6745fb91460a7d54840dd8ce0f3ee74069a78d9741d85c",
+    "n5/rp": "2c5c14e18425759c29c3671d0413f45e49ee24557ed2252461b0a65a5b294280",
+    "n5/holpj-jump": "6e30a7c71c3b18efc9587914a4583ec684318b10b40824a598102d40d98e6bc2",
+    "n5/holpj-order": "6e30a7c71c3b18efc9587914a4583ec684318b10b40824a598102d40d98e6bc2",
 }
 
 
@@ -360,8 +382,9 @@ def test_golden_digest(key):
 # ---------------------------------------------------------------------------
 # golden pins past the first 4096-draw chunk: the golden traces above stay
 # inside each class's first chunk of draws, so these cover the chunk refill
-# and the merge of the class arrival streams.  Recorded, like GOLDEN, before
-# the index-range rewrite of the event loop.
+# and the merge of the class arrival streams.  Recorded before the
+# index-range rewrite of the event loop; the n3-idle pins hash a replicated
+# estimate's CI, so, like GOLDEN, they were re-recorded with the t-quantile.
 
 def _digest(values):
     values = [float(x) for x in values]
@@ -427,10 +450,10 @@ PINS = {
     "n2-h2-30k/rp": "8bd7481f47939d52615cf4eb9dfc60edf24892878b7a55aa1f3f2e7e36003386",
     "n2-h2-30k/edd": "874c67ae469d0fff095c9a4ab43f06ca3bb7958afe618b6d7653a9e53c64d678",
     "n2-h2-30k/busy": "ff88c01ea9fed9a1ade9c738939e65df1646a563a9b494136dbbef0b33726342",
-    "n3-idle/gfcfs": "7535266c78ce4f7e99e429f857b2958f102e3a2e7a7f839f7960f946c6cdcda5",
-    "n3-idle/ddp": "9228d7cd46fd4d0dc8a08142fe46bb6cce92c28c0b51e602c6023a2c9ac94d85",
-    "n3-idle/rp": "09c9ed0eb3a1a2781cefb745778173a5b5cdddb0dbfb91702d2d9dbe3dbd139c",
-    "n3-idle/holpj-jump": "d505e438d536dea52c1802e245847f89968f0480230169864fef59c8cce97202",
+    "n3-idle/gfcfs": "bcddeb3ba1d15cc07ecbfeb1170e505f8661caad6a2820b5f3c468454442e7fa",
+    "n3-idle/ddp": "45c72850ecaa2911b2b4f28e2a70bdf39cef66e52c8e2dac10ca29c21e65effb",
+    "n3-idle/rp": "a5a28e7168a573d71d058d3a806604dcadd791ca56e47e605a38decbd9d91f0c",
+    "n3-idle/holpj-jump": "9d0c57edcecd608e2698e8d5d1c3afe93fb3f2b91365dfb785ffd176c90c14eb",
     "rp-deep/n2-exp": "4ed8576e30f041bc64d9a6ab5eed6e93ceac7fa9ed7e91ce99de3706d92b13b3",
     "rp-deep/n2-h2": "b8f957f824b4374f04b46b25891d51e6b5941418235f9a3b8caf166d67caf227",
     "rp-deep/n5-exp": "3721e1fa9dede957a76ec3760fe9a00725c16e774578ec670a77527e1bd8a312",
