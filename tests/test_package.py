@@ -16,17 +16,28 @@ def test_all_names_exist_and_none_is_a_module():
         assert not isinstance(getattr(mg1lab, name), types.ModuleType), name
 
 
-def test_no_path_needs_scipy(tmp_path):
-    # a fresh interpreter in which `import scipy` fails: the simulator, both
-    # kinds of target search, every control solver the package has and every
-    # CLI subcommand run without it
+def _run_without_scipy(code, *args):
+    # a fresh interpreter in which `import scipy` fails, so any mg1lab path
+    # that needs scipy raises there
+    proc = subprocess.run(
+        [sys.executable, "-c", 'import sys; sys.modules["scipy"] = None\n' + code, *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+
+
+def test_import_loads_no_scipy(tmp_path):
+    # with scipy blocked: the import, the simulator, both kinds of target
+    # search and every CLI subcommand
     code = """
 import json, os, sys
-sys.modules["scipy"] = None
 import mg1lab as m
 from mg1lab.cli import main
 E = m.ServiceDistribution.exponential(1.0)
-D = m.ServiceDistribution.deterministic(1.0)
 model = m.SystemModel((m.CustomerClassSpec(0.3, E), m.CustomerClassSpec(0.2, E)))
 for reps in (1, 3):
     m.run_sim(model, m.GFCFS(), m.SimConfig(seed=1, measured_jobs=1000, warmup_jobs=100,
@@ -43,19 +54,6 @@ def oracle(ubar):
     return est.mean[0], est.ci_halfwidth_95[0]
 
 m.achieve_target(model, target, "edd", sim_oracle=oracle)
-net = m.NetworkUtilityConfig(
-    m.SystemModel((m.CustomerClassSpec(0.25, D), m.CustomerClassSpec(0.25, D))),
-    4.912, 0.01, 1.0, 1.0, 1.0, 1.0)
-for solve in (m.rp_param_for_utility, m.pp_param_for_utility_approx,
-              m.network_optimal_utility, m.approx_utility_gfcfs):
-    solve(net)
-m.cmu_rule_2class(model, 1.0, 2.0)
-m.minmax_fair_point(model)
-hpc = dict(lambda_P=0.25, lambda_R=0.25, service=E, a=10.0, b=2.0, w1=1.0, w2=1.0)
-m.hpc_utility_opt(m.HpcConfig(**hpc))
-assert m.hpc_revenue_constrained(m.HpcConfig(**hpc, S_R=0.7)).active_constraints == ("S_R",)
-m.cloud_revenue_opt(m.CloudConfig(mu=1.0, scv=1.0, a=(0.8, 0.8), b=(1.5, 1.5), c=(0.2, 0.2)))
-m.joint_pricing_T1(m.JointPricingConfig(0.3, 1.0, 1.0, 0.7, 2.0, 1.0, 1.0))
 tmp = sys.argv[1]
 config = os.path.join(tmp, "model.json")
 with open(config, "w") as f:
@@ -75,12 +73,30 @@ for argv in (
     assert main([*argv, "--out", os.path.join(tmp, argv[0] + ".out")]) == 0, argv
 print("ok")
 """
-    proc = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path)],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env={**os.environ, "PYTHONPATH": SRC},
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "ok"
+    _run_without_scipy(code, str(tmp_path))
+
+
+def test_control_solvers_load_no_scipy_optimize():
+    # with scipy blocked: every control solver, the constrained
+    # computing-service one on a binding service level
+    code = """
+import mg1lab as m
+E = m.ServiceDistribution.exponential(1.0)
+D = m.ServiceDistribution.deterministic(1.0)
+model = m.SystemModel((m.CustomerClassSpec(0.3, E), m.CustomerClassSpec(0.2, E)))
+net = m.NetworkUtilityConfig(
+    m.SystemModel((m.CustomerClassSpec(0.25, D), m.CustomerClassSpec(0.25, D))),
+    4.912, 0.01, 1.0, 1.0, 1.0, 1.0)
+for solve in (m.rp_param_for_utility, m.pp_param_for_utility_approx,
+              m.network_optimal_utility, m.approx_utility_gfcfs):
+    solve(net)
+m.cmu_rule_2class(model, 1.0, 2.0)
+m.minmax_fair_point(model)
+hpc = dict(lambda_P=0.25, lambda_R=0.25, service=E, a=10.0, b=2.0, w1=1.0, w2=1.0)
+m.hpc_utility_opt(m.HpcConfig(**hpc))
+assert m.hpc_revenue_constrained(m.HpcConfig(**hpc, S_R=0.7)).active_constraints == ("S_R",)
+m.cloud_revenue_opt(m.CloudConfig(mu=1.0, scv=1.0, a=(0.8, 0.8), b=(1.5, 1.5), c=(0.2, 0.2)))
+m.joint_pricing_T1(m.JointPricingConfig(0.3, 1.0, 1.0, 0.7, 2.0, 1.0, 1.0))
+print("ok")
+"""
+    _run_without_scipy(code)
