@@ -9,12 +9,10 @@ achievable wait region.
 __version__ = "0.1.0"
 
 from .core import (
-    AchievableSegment,
     CustomerClassSpec,
     ServiceDistribution,
     SystemModel,
     WaitVector,
-    achievable_segment,
     conservation_residual,
     gfcfs_wait,
     segment_point,
@@ -83,8 +81,8 @@ from .control import (
 from . import errors, tables  # submodules, reachable as attributes
 
 __all__ = [
-    "AchievableSegment", "CustomerClassSpec", "ServiceDistribution", "SystemModel",
-    "WaitVector", "achievable_segment", "conservation_residual", "gfcfs_wait",
+    "CustomerClassSpec", "ServiceDistribution", "SystemModel",
+    "WaitVector", "conservation_residual", "gfcfs_wait",
     "segment_point", "strict_priority_waits_2class", "wait_bounds",
     "ddp_waits", "ddp2_waits", "edd2_waits_from_integral", "expected_clearing_time",
     "pp2_waits_approx", "rp_waits", "rp2_kernel", "rp2_min_weight", "rp2_waits",

@@ -25,7 +25,6 @@ from .core import (
 from .errors import (
     IntegralOutOfRangeError,
     InvalidParameterError,
-    NegativeDiscriminantError,
     SingularSystemError,
 )
 
@@ -188,18 +187,16 @@ def rp2_waits(model: SystemModel, p1: float) -> WaitVector:
 
 
 def _pp_q(omega1: float, r1: float, r2: float) -> tuple[float, float]:
-    """Quadratic-root service-share factors of the 2-class PP approximation."""
+    """Quadratic-root service-share factors of the 2-class PP approximation.
+    Each discriminant is (1 - x - y)**2 - 4xy with x = omega1*r1, y = omega2*r2,
+    at least (1 - rho)**2 > 0 by Cauchy-Schwarz: the clamp is for rounding."""
     omega2 = 1.0 - omega1
     a1 = 1.0 + omega1 * r1 - omega2 * r2
     a2 = 1.0 + omega2 * r2 - omega1 * r1
     d1 = a1 * a1 - 4.0 * omega1 * r1
     d2 = a2 * a2 - 4.0 * omega2 * r2
-    if d1 < 0 or d2 < 0:
-        raise NegativeDiscriminantError(
-            f"PP approximation discriminant negative at omega1={omega1}"
-        )
-    q1 = (a1 - math.sqrt(d1)) / (2.0 * omega1)
-    q2 = (a2 - math.sqrt(d2)) / (2.0 * omega2)
+    q1 = (a1 - math.sqrt(max(d1, 0.0))) / (2.0 * omega1)
+    q2 = (a2 - math.sqrt(max(d2, 0.0))) / (2.0 * omega2)
     return q1, q2
 
 
@@ -272,9 +269,11 @@ def edd2_waits_from_integral(
     sign_of_ubar is "nonneg" (u1 >= u2: class 2 favoured, integral over the
     class-2 clearing time tail) or "neg" (class 1 favoured).  integral = 0
     gives global FCFS; the branch's upper limit gives the strict-priority
-    endpoint.
+    endpoint, exactly.
     """
-    integral_value, _ = _integral_in_range(model, integral_value, sign_of_ubar)
+    integral_value, upper = _integral_in_range(model, integral_value, sign_of_ubar)
+    if integral_value == upper:
+        return strict_priority_waits_2class(model, 0 if sign_of_ubar == "neg" else 1)
     r1, r2 = model.rho_per_class
     ew = gfcfs_wait(model)
     if sign_of_ubar == "nonneg":

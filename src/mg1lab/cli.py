@@ -56,13 +56,7 @@ from .errors import (
     QueueingError,
     UnstableSystemError,
 )
-from .mappings import (
-    SCHEMES,
-    beta_from_p1,
-    integral_from_beta,
-    p1_from_beta,
-    beta_from_integral,
-)
+from .mappings import SCHEMES
 from .sim import DDP, EDD, GFCFS, HOLPJ, PP, RP, SimConfig, Strict, run_sim, service_start_sequence
 from .tables import check_table, table_csv
 from . import tables as _tables
@@ -155,24 +149,28 @@ def _numbers(args: argparse.Namespace, name: str, alternative: str = "", kind=fl
         raise _MalformedValueError(f"--{name} must be comma-separated numbers, got {text!r}") from None
 
 
+def _strict_end(args: argparse.Namespace) -> Optional[int]:
+    """The class served first when the discipline's scalar flag, named after
+    its scheme's parameter, is at one of the scheme's ends; else None."""
+    scheme = SCHEMES.get(args.discipline)
+    value = getattr(args, scheme.param, None) if scheme else None
+    return None if value is None else scheme.end(value)
+
+
 def _discipline_from_args(args: argparse.Namespace):
     name = args.discipline
+    end = _strict_end(args)
+    if end is not None:
+        return Strict((end, 1 - end))
     if name == "gfcfs":
         return GFCFS()
     if name == "strict":
         return Strict(_numbers(args, "order", kind=int))
     if name == "ddp":
-        if args.beta is None:
-            return DDP(_numbers(args, "b", " or --beta"))
-        # beta shorthand: rates (1, beta); beta = inf is strict priority to class 2
-        return Strict((1, 0)) if args.beta == math.inf else DDP((1.0, args.beta))
+        # beta shorthand: rates (1, beta)
+        return DDP(_numbers(args, "b", " or --beta") if args.beta is None else (1.0, args.beta))
     if name == "rp":
-        if args.p1 is None:
-            return RP(_numbers(args, "p", " or --p1"))
-        # RP's weights are positive: p1 = 1 or 0 is strict priority to class 1 or 2
-        if args.p1 in (0.0, 1.0):
-            return Strict((0, 1) if args.p1 else (1, 0))
-        return RP((args.p1, 1.0 - args.p1))
+        return RP(_numbers(args, "p", " or --p1") if args.p1 is None else (args.p1, 1.0 - args.p1))
     if name == "pp":
         return PP((_flag(args, "omega1"), 1.0))
     if name == "edd":
@@ -183,7 +181,10 @@ def _discipline_from_args(args: argparse.Namespace):
 def cmd_analyze(args: argparse.Namespace) -> int:
     model = _load_model(args)
     name = args.discipline
-    if name == "gfcfs":
+    end = _strict_end(args)
+    if end is not None:
+        waits = tuple(strict_priority_waits_2class(model, end))
+    elif name == "gfcfs":
         w = gfcfs_wait(model)
         waits = tuple([w] * model.n_classes)
     elif name == "strict":
@@ -252,26 +253,17 @@ def cmd_map(args: argparse.Namespace) -> int:
         raise InvalidParameterError(f"--from must look like scheme:value, got {args.source!r}") from exc
     dst = args.to
     if src not in SCHEMES or dst not in SCHEMES:
-        raise InvalidParameterError(f"schemes must be one of {SCHEMES}")
-    rho = model.rho
-    # normalize the source to beta, the exchange currency
-    if src == "ddp":
-        beta = value
-    elif src == "rp":
-        beta = beta_from_p1(rho, value)
-    elif src == "edd":
-        beta = beta_from_integral(model, value, args.sign)
-    else:
+        raise InvalidParameterError(f"schemes must be one of {tuple(SCHEMES)}")
+    # through beta, the exchange currency
+    to_beta, from_beta = SCHEMES[src].to_beta, SCHEMES[dst].from_beta
+    if to_beta is None:
         raise InvalidParameterError(f"mapping from {src!r} is not analytic; simulate instead")
-    if dst == "ddp":
-        out = beta
-    elif dst == "rp":
-        out = p1_from_beta(rho, beta)
-    elif dst == "edd":
-        out = integral_from_beta(model, beta)[0]
-    else:
+    beta = to_beta(model, value, args.sign)
+    if from_beta is None:
         raise InvalidParameterError(f"mapping to {dst!r} is not analytic; use achieve_target")
-    waits = ddp2_waits(model, beta)
+    out = from_beta(model, beta)
+    end = SCHEMES["ddp"].end(beta)
+    waits = ddp2_waits(model, beta) if end is None else strict_priority_waits_2class(model, end)
     payload = {
         "from": {"scheme": src, "value": value},
         "to": {"scheme": dst, "value": out},

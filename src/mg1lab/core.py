@@ -178,14 +178,6 @@ class WaitVector:
         return self.w[i]
 
 
-@dataclass(frozen=True)
-class AchievableSegment:
-    """The two strict-priority endpoints of the 2-class achievable segment."""
-
-    endpoint_12: WaitVector
-    endpoint_21: WaitVector
-
-
 def json_dumps(obj, **kwargs) -> str:
     """`json.dumps` that writes every non-finite float as null: RFC 8259
     JSON has no Infinity or NaN."""
@@ -241,13 +233,6 @@ def strict_priority_waits_2class(model: SystemModel, first: int) -> WaitVector:
     if first not in (0, 1):
         raise InvalidParameterError(f"first must be 0 or 1, got {first}")
     return WaitVector((lo1, hi2) if first == 0 else (hi1, lo2))
-
-
-def achievable_segment(model: SystemModel) -> AchievableSegment:
-    return AchievableSegment(
-        endpoint_12=strict_priority_waits_2class(model, 0),
-        endpoint_21=strict_priority_waits_2class(model, 1),
-    )
 
 
 def segment_point(model: SystemModel, alpha: float) -> WaitVector:

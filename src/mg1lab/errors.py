@@ -25,10 +25,6 @@ class SingularSystemError(QueueingError):
     """The linear system of a recursion could not be solved reliably."""
 
 
-class NegativeDiscriminantError(QueueingError):
-    """The probabilistic-priority approximation left its validity region."""
-
-
 class IntegralOutOfRangeError(QueueingError):
     """A busy-period integral value lies outside its admissible branch range."""
 

@@ -1,11 +1,12 @@
 """Parameter transformations between the 2-class dynamic-priority schemes
-(beta <-> p1, beta <-> busy-period integral, alpha <-> p1) and a
-completeness solver that hits any target point on the achievable segment
-with any scheme.
+(beta <-> p1, beta <-> busy-period integral, alpha <-> p1), the table of
+complete schemes, and a completeness solver that hits any target point on
+the achievable segment with any scheme.
 
 The canonical exchange currencies are beta and the busy-period integral,
-which are exact; urgency differences (ubar, dbar) are only ever reported
-as the terminal parameter of a simulation-backed search.
+which are exact and land exactly on the strict-priority ends (alpha = 1,
+p1 = 1, beta = 0 and back); urgency differences (ubar, dbar) are only ever
+reported as the terminal parameter of a simulation-backed search.
 """
 
 from __future__ import annotations
@@ -14,11 +15,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .analytic import _integral_in_range, expected_clearing_time, rp2_min_weight, rp2_waits
+from .analytic import _integral_in_range, expected_clearing_time, rp2_min_weight
 from .core import SystemModel, segment_point, wait_bounds
 from .errors import InvalidParameterError, OracleRequiredError
-
-SCHEMES = ("ddp", "rp", "edd", "holpj", "pp")
 
 #: schemes whose parameter can only be located through a simulation oracle
 SIMULATED_SCHEMES = ("edd", "holpj", "pp")
@@ -69,12 +68,12 @@ def beta_from_p1(rho: float, p1: float) -> float:
 
 
 def p1_from_beta(rho: float, beta: float) -> float:
-    """Exact inverse of :func:`beta_from_p1`."""
+    """Exact inverse of :func:`beta_from_p1`: 1 at beta = 0, 0 at beta = inf."""
     _check_rho(rho)
     if not (beta >= 0):
         raise InvalidParameterError(f"beta must be in [0, +inf], got {beta}")
     if beta <= 1.0:
-        return (1.0 + (1.0 - rho) * (1.0 - beta)) / (2.0 - rho * (1.0 - beta))
+        return 1.0 - beta / (2.0 - rho * (1.0 - beta))
     if math.isinf(beta):
         return 0.0
     return 1.0 / ((2.0 - rho) * beta + rho)
@@ -89,7 +88,7 @@ def beta_from_integral(model: SystemModel, integral_value: float, branch: str) -
     """
     iv, upper = _integral_in_range(model, integral_value, branch)
     if iv == upper:  # the strict-priority end, which rounding would miss
-        return 0.0 if branch == "neg" else math.inf
+        return SCHEMES["ddp"].ends[0 if branch == "neg" else 1]
     rhos, rho, w0 = model.rho_per_class, model.rho, model.w0
     if branch == "neg":
         num = w0 - (1.0 - rhos[0]) * (1.0 - rho) * iv
@@ -117,10 +116,44 @@ def integral_from_beta(model: SystemModel, beta: float) -> tuple[float, str]:
     return iv, "nonneg"
 
 
+@dataclass(frozen=True)
+class Scheme:
+    """One complete 2-class scheme: its parameter's name, the values that
+    serve class 1 first and class 2 first, and any exact map to beta and
+    back.  EDD's ends are urgency differences, but its map currency is the
+    busy-period integral of `map --from edd:X` and `analyze --integral`, on
+    the branch ("neg" or "nonneg") that only EDD's `to_beta` reads."""
+
+    param: str
+    ends: tuple[float, float]
+    to_beta: Optional[Callable[[SystemModel, float, str], float]] = None
+    from_beta: Optional[Callable[[SystemModel, float], float]] = None
+
+    def end(self, value: float) -> Optional[int]:
+        """The class (0 or 1) that value serves first, if it is an end."""
+        return self.ends.index(value) if value in self.ends else None
+
+
+#: every complete 2-class scheme, by name
+SCHEMES = {
+    "ddp": Scheme("beta", (0.0, math.inf), lambda m, beta, _: beta, lambda m, beta: beta),
+    "rp": Scheme("p1", (1.0, 0.0), lambda m, p1, _: beta_from_p1(m.rho, p1),
+                 lambda m, beta: p1_from_beta(m.rho, beta)),
+    "edd": Scheme("ubar", (-math.inf, math.inf), beta_from_integral,
+                  lambda m, beta: integral_from_beta(m, beta)[0]),
+    "holpj": Scheme("dbar", (-math.inf, math.inf)),
+    "pp": Scheme("omega1", (1.0, 0.0)),
+}
+
+
 def p1_from_alpha(model: SystemModel, alpha: float) -> float:
     """Relative-priority parameter whose wait vector is the segment point at
-    alpha (alpha = 1 is strict (1,2), alpha = 0 strict (2,1))."""
-    return _p1_of_w1(model, segment_point(model, alpha)[0])
+    alpha (alpha = 1 is strict (1,2), alpha = 0 strict (2,1)); at those two
+    ends it is RP's end exactly."""
+    w1 = segment_point(model, alpha)[0]
+    if alpha in (0.0, 1.0):
+        return SCHEMES["rp"].ends[0 if alpha else 1]
+    return _p1_of_w1(model, w1)
 
 
 def _p1_of_w1(model: SystemModel, w1: float) -> float:
@@ -132,13 +165,16 @@ def _p1_of_w1(model: SystemModel, w1: float) -> float:
 
 
 def alpha_from_p1(model: SystemModel, p1: float) -> float:
-    """Convex weight of the segment point reached by relative priority p1."""
+    """Convex weight of the segment point reached by relative priority p1:
+    p1(1 - rho1) / (p1(1 - rho1) + (1 - p1)(1 - rho2)), which is exactly 1
+    and 0 at p1 = 1 and 0 and lies in [0, 1] by construction.  On a
+    degenerate segment (no class-2 load) every alpha names the same point."""
     model.require_two_classes()
-    w1 = rp2_waits(model, p1)[0]
-    hi, lo = wait_bounds(model)[0]  # the class-1 waits at alpha = 1 and 0
-    if lo == hi:
-        return 0.5  # degenerate segment (an empty class); every alpha coincides
-    return (w1 - lo) / (hi - lo)
+    if not (0.0 <= p1 <= 1.0):
+        raise InvalidParameterError(f"p1 must lie in [0, 1], got {p1}")
+    r1, r2 = model.rho_per_class
+    x = p1 * (1.0 - r1)
+    return x / (x + (1.0 - p1) * (1.0 - r2))
 
 
 def _target_w1(model: SystemModel, target: SegmentTarget) -> float:
@@ -157,15 +193,6 @@ def _target_w1(model: SystemModel, target: SegmentTarget) -> float:
 _BRACKET_TOL = 1e-3
 #: every probe lies at least this share of the bracket width inside each end
 _SAFEGUARD = 0.1
-
-#: scale factor turning the bounded search variable into an urgency
-#: difference; tan maps (0, 1) onto the full extended real line.
-def _ubar_of_t(t: float, scale: float) -> float:
-    if t <= 0.0:
-        return -math.inf
-    if t >= 1.0:
-        return math.inf
-    return scale * math.tan(math.pi * (t - 0.5))
 
 
 def _interpolate(anchors: list[tuple[float, float]], w1: float) -> float:
@@ -213,16 +240,9 @@ def achieve_target(
     rho = model.rho
 
     # exact endpoint ties resolve to the strict-priority parameter
-    if w1_star == lo1 or w1_star == hi1:
-        at_12 = w1_star == lo1
-        endpoint = {
-            "rp": 1.0 if at_12 else 0.0,
-            "ddp": 0.0 if at_12 else math.inf,
-            "edd": -math.inf if at_12 else math.inf,
-            "holpj": -math.inf if at_12 else math.inf,
-            "pp": 1.0 if at_12 else 0.0,
-        }[scheme]
-        return SchemeParameter(scheme, endpoint, {"case": "endpoint"})
+    if w1_star in (lo1, hi1):
+        end = SCHEMES[scheme].ends[0 if w1_star == lo1 else 1]
+        return SchemeParameter(scheme, end, {"case": "endpoint"})
 
     if scheme not in SIMULATED_SCHEMES:
         p1 = _p1_of_w1(model, w1_star)
@@ -240,7 +260,8 @@ def achieve_target(
         param_of_t = lambda t: 1.0 - t  # noqa: E731
         anchors = [(0.0, lo1), (1.0, hi1)]
     else:
-        param_of_t = lambda t: _ubar_of_t(t, scale)  # noqa: E731
+        # tan maps the probes, all strictly inside (0, 1), onto the real line
+        param_of_t = lambda t: scale * math.tan(math.pi * (t - 0.5))  # noqa: E731
         anchors = [(0.0, lo1), (0.5, scale), (1.0, hi1)]
 
     calls = 0

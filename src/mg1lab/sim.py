@@ -42,6 +42,7 @@ import numpy as np
 from .analytic import expected_clearing_time
 from .core import ServiceDistribution, SystemModel, WaitVector, conservation_residual, gfcfs_wait
 from .errors import InvalidParameterError, WrongClassCountError
+from .mappings import SCHEMES
 
 _CHUNK = 4096  # draws per substream call; H2 services interleave two draws per chunk
 _INF = math.inf
@@ -608,12 +609,11 @@ def busy_period_boundaries(
 
 def edd_config_from_ubar(model: SystemModel, ubar: float) -> DisciplineConfig:
     """2-class EDD configuration for an urgency difference u1 - u2 = ubar;
-    the infinite endpoints degrade to strict-priority dispatch."""
+    EDD's ends, ubar = -inf and +inf, run strict-priority dispatch."""
     model.require_two_classes()
-    if ubar == -_INF:
-        return Strict((0, 1))
-    if ubar == _INF:
-        return Strict((1, 0))
+    end = SCHEMES["edd"].end(ubar)
+    if end is not None:
+        return Strict((end, 1 - end))
     return EDD((max(ubar, 0.0), max(-ubar, 0.0)))
 
 

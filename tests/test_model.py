@@ -10,7 +10,6 @@ from mg1lab import (
     ServiceDistribution,
     SystemModel,
     WaitVector,
-    achievable_segment,
     conservation_residual,
     gfcfs_wait,
     segment_point,
@@ -148,7 +147,6 @@ class TestSegment:
             scv, "balanced-hyperexponential-2")
         dist = ServiceDistribution(kind, mean, scv)
         m = SystemModel([CustomerClassSpec(lam, dist) for lam in lams])
-        seg = achievable_segment(m)
-        want = tuple(alpha * a + (1.0 - alpha) * b
-                     for a, b in zip(seg.endpoint_12.w, seg.endpoint_21.w))
+        end_12, end_21 = strict_priority_waits_2class(m, 0), strict_priority_waits_2class(m, 1)
+        want = tuple(alpha * a + (1.0 - alpha) * b for a, b in zip(end_12.w, end_21.w))
         assert segment_point(m, alpha).w == want

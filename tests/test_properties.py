@@ -3,15 +3,22 @@
 Each example draws a model with 2-5 classes (mixed service kinds, some
 classes possibly without arrivals).  The simulator properties add a seed
 and run a few thousand jobs; the analytic ones check the conservation law
-for the N-class waits and the round trips of the beta, p1, busy-period
-integral and segment-weight maps.  Hypothesis runs derandomized and
-without an example database, so every run tries the same examples.
+for the N-class waits, the round trips of the beta, p1, busy-period
+integral and segment-weight maps, that every map lands exactly on the
+strict-priority ends, and the PP approximation's discriminant bound.
+Hypothesis runs derandomized and without an example database, so every
+run tries the same examples.
 """
 
+import contextlib
+import io
+import json
 import math
+import os
 import struct
+import tempfile
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mg1lab import (
@@ -21,6 +28,7 @@ from mg1lab import (
     HOLPJ,
     PP,
     RP,
+    SCHEMES,
     CustomerClassSpec,
     ServiceDistribution,
     SimConfig,
@@ -31,14 +39,21 @@ from mg1lab import (
     beta_from_p1,
     busy_period_boundaries,
     conservation_residual,
+    ddp2_waits,
     ddp_waits,
+    edd2_waits_from_integral,
+    expected_clearing_time,
     integral_from_beta,
     p1_from_alpha,
     p1_from_beta,
+    pp2_waits_approx,
+    rp2_waits,
     rp_waits,
     run_sim,
     service_start_sequence,
+    strict_priority_waits_2class,
 )
+from mg1lab.cli import main
 
 from holpj_reference import list_loop, queue_jump_selector
 
@@ -195,3 +210,97 @@ def test_segment_maps_round_trip(m, alpha):
     p1_back = p1_from_beta(m.rho, back)
     assert math.isclose(p1_back, p1, abs_tol=1e-12)
     assert math.isclose(alpha_from_p1(m, p1_back), alpha, abs_tol=1e-9)
+
+
+#: the schemes with an exact map to beta
+EXACT = tuple(name for name, scheme in SCHEMES.items() if scheme.to_beta is not None)
+#: alpha_from_p1(m, 1.0) was 1.0000000000000004 here, one ulp of rp2_waits off the end
+EDGE_23 = SystemModel([CustomerClassSpec(0.23, ServiceDistribution.exponential(1.0)),
+                       CustomerClassSpec(0.13, ServiceDistribution.hyperexp2(1.0, 4.0))])
+#: p1_from_beta(rho, 0.0) was 1.0000000000000002 here
+EDGE_01 = SystemModel([CustomerClassSpec(0.01, ServiceDistribution.exponential(1.0)),
+                       CustomerClassSpec(0.06, ServiceDistribution.exponential(1.0))])
+#: the scalar flag of each exactly-mapped scheme in `analyze`
+FLAGS = {"ddp": "--beta", "rp": "--p1", "edd": "--integral"}
+
+
+def _map_end(m, scheme, first):
+    """(value, EDD branch) of the scheme's end that serves class `first`
+    first, in its map currency: EDD's is the branch's clearing time."""
+    if scheme == "edd":
+        return expected_clearing_time(m, first), ("neg", "nonneg")[first]
+    return SCHEMES[scheme].ends[first], "nonneg"
+
+
+def _waits(m, scheme, value, branch):
+    """The exact waits at a map-currency value, through its domain check."""
+    if scheme == "edd":
+        return edd2_waits_from_integral(m, value, branch)
+    return (ddp2_waits if scheme == "ddp" else rp2_waits)(m, value)
+
+
+def _cli(m, *argv):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "model.json")
+        with open(path, "w") as fh:
+            fh.write(m.to_json_str())
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main([*argv, "--config", path]) == 0
+    return json.loads(out.getvalue())
+
+
+@ANALYTIC
+@given(models(st.just(2), empty=False), st.sampled_from(EXACT), st.sampled_from(EXACT),
+       st.sampled_from([0, 1, None]), st.floats(0.0, 1.0), st.sampled_from(["neg", "nonneg"]))
+@example(EDGE_23, "rp", "ddp", 0, 0.5, "neg")
+@example(EDGE_01, "ddp", "rp", 0, 0.5, "neg")
+def test_scheme_maps_meet_their_consumers_and_the_ends(m, src, dst, first, frac, branch):
+    # src value -> beta -> dst value, each accepted by its consumer; an end
+    # (first = the class served first) maps to the same end exactly
+    if first is not None:
+        value, branch = _map_end(m, src, first)
+    elif src == "edd":
+        value = frac * expected_clearing_time(m, ("neg", "nonneg").index(branch))
+    else:
+        value = frac if src == "rp" else (frac / (1.0 - frac) if frac < 1.0 else math.inf)
+    beta = SCHEMES[src].to_beta(m, value, branch)
+    out = SCHEMES[dst].from_beta(m, beta)
+    _waits(m, dst, out, integral_from_beta(m, beta)[1])
+    if src == "rp":  # the segment weight alpha and back
+        alpha = alpha_from_p1(m, value)
+        assert 0.0 <= alpha <= 1.0 and math.copysign(1.0, alpha) == 1.0
+        p1 = p1_from_alpha(m, alpha)
+        rp2_waits(m, p1)
+    if first is None:
+        return
+    assert beta == SCHEMES["ddp"].ends[first]
+    assert out == _map_end(m, dst, first)[0]
+    if src == "rp":
+        assert alpha == 1 - first and p1 == value
+    # the CLI at an end reports wait_bounds' vector bit for bit
+    strict = list(strict_priority_waits_2class(m, first))
+    assert _cli(m, "analyze", "--discipline", src, FLAGS[src], repr(value), "--sign", branch)["waits"] == strict
+    mapped = _cli(m, "map", "--from", f"{src}:{value!r}", "--sign", branch, "--to", dst)
+    assert mapped["to"]["value"] == (out if math.isfinite(out) else None)  # JSON writes inf as null
+    assert mapped["waits"] == strict
+
+
+@ANALYTIC
+@given(st.floats(1e-9, 0.9), st.floats(0.0, 1.0), st.one_of(st.none(), st.floats(0.0, 1.0)))
+def test_pp_discriminants_stay_above_the_cauchy_schwarz_bound(gap, share, omega1):
+    # both discriminants of the PP approximation, formed as analytic._pp_q
+    # forms them, are at least (1 - rho)**2 up to rounding; omega1 = None
+    # draws the worst weight rho1 / rho
+    r1, r2 = (1.0 - gap) * share, (1.0 - gap) * (1.0 - share)
+    rho = r1 + r2
+    omega1 = r1 / rho if omega1 is None else omega1
+    omega2 = 1.0 - omega1
+    a1 = 1.0 + omega1 * r1 - omega2 * r2
+    a2 = 1.0 + omega2 * r2 - omega1 * r1
+    for d in (a1 * a1 - 4.0 * omega1 * r1, a2 * a2 - 4.0 * omega2 * r2):
+        assert d >= (1.0 - rho) ** 2 - 1e-15
+    if 0.0 < rho < 1.0 - 1e-9:
+        m = SystemModel([CustomerClassSpec(r1, ServiceDistribution.exponential(1.0)),
+                         CustomerClassSpec(r2, ServiceDistribution.exponential(1.0))])
+        assert all(math.isfinite(w) for w in pp2_waits_approx(m, omega1))
