@@ -56,7 +56,7 @@ from .errors import (
     QueueingError,
     UnstableSystemError,
 )
-from .mappings import SCHEMES
+from .mappings import SCHEMES, integral_from_beta
 from .sim import DDP, EDD, GFCFS, HOLPJ, PP, RP, SimConfig, Strict, run_sim, service_start_sequence
 from .tables import check_table, table_csv
 from . import tables as _tables
@@ -264,9 +264,12 @@ def cmd_map(args: argparse.Namespace) -> int:
     out = from_beta(model, beta)
     end = SCHEMES["ddp"].end(beta)
     waits = ddp2_waits(model, beta) if end is None else strict_priority_waits_2class(model, end)
+    to = {"scheme": dst, "value": out}
+    if dst == "edd":  # the integral's branch, which analyze reads from --sign
+        to["sign"] = integral_from_beta(model, beta)[1]
     payload = {
         "from": {"scheme": src, "value": value},
-        "to": {"scheme": dst, "value": out},
+        "to": to,
         "beta": beta,
         "waits": list(waits),
     }

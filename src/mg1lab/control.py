@@ -474,28 +474,87 @@ def _cloud_certify(cfg: CloudConfig, p1: float, r_best: float) -> tuple[float, i
 _THETA_TOL = 1e-7
 
 
-def cloud_revenue_opt(cfg: CloudConfig) -> ControlSolution:
-    """Maximize theta1*l1 + theta2*l2 over prices and the priority weight.
-
-    The search runs over the arrival rates (l1, l2) and recovers each price
-    by inverse demand, theta_i = (a_i - l_i - c_i*W_i)/b_i with W_i the RP
-    wait at those rates, so every candidate is an exact demand equilibrium
-    at one closed-form wait evaluation.  Rates whose price would leave
-    [0, a_i/b_i], or whose wait breaks its SLA cap T_i, are rejected.
-    Nested golden-section over the two rates; the final bracket of each
-    rate search is 1e-7*b_i, a price resolution of 1e-7 in the delay-free
-    part of the inverse demand.  `evaluations` counts the rate pairs
-    scored.
+def _cloud_score(cfg: CloudConfig) -> tuple[Callable, Callable]:
+    """(bound, revenue): the weight choice and the rate-pair score of
+    :func:`cloud_revenue_opt`.
 
     The weight needs no search (the paper's c/rho argument): at fixed rates
     the revenue moves along the achievable segment with slope
     l1*(c2/b2 - c1/b1) in W1, so the best p1 is the end of the interval of
     weights keeping each W_i within min(T_i, (a_i - l_i)/c_i) that has the
     lower W1 when c1/b1 > c2/b2, and otherwise (the revenue flat in p1
-    included) the end with the higher W1, both from :func:`rp2_min_weight`.
+    included) the end with the higher W1.  bound(l1, l2) is (k, cap, p1):
+    the class k whose cap bounds that end, the cap, and the p1 of the
+    segment end class k prefers, where :func:`rp2_min_weight` looks first.
 
-    The optimum is certified on a 21 x 21 price grid at the chosen p by
-    the damped demand fixed point (:func:`_cloud_certify`), run only at the
+    revenue(l1, l2) is theta1*l1 + theta2*l2 at that end, with no solve for
+    the weight.  Class k's wait is its RP wait at its preferred end or,
+    where that breaks the cap and the other end keeps it, the cap itself;
+    the conservation law rho1*W1 + rho2*W2 = rho*W0/(1 - rho) gives the
+    other wait.  Inverse demand checks the other class's cap, and -inf
+    marks rates with no feasible weight."""
+    s = 1.0 / cfg.mu
+    s2 = (1.0 + cfg.scv) * s * s
+    (a1, a2), (b1, b2), (c1, c2), (T1, T2) = cfg.a, cfg.b, cfg.c, cfg.T
+
+    def cap(a, c, T, lam):
+        # the largest wait at rate lam > 0 that keeps the price >= 0 and the SLA
+        if not lam:
+            return _INF
+        if not c:
+            return T + 1e-12
+        w = (a - lam) / c
+        while c * w > a - lam:  # so that inverse demand prices w at >= 0
+            w = math.nextafter(w, -_INF)
+        return min(T + 1e-12, w)
+
+    def bound(l1, l2):
+        if l1 > 0.0 and l2 > 0.0 and c1 * b2 > c2 * b1:  # c1/b1 > c2/b2: largest p1
+            return 1, cap(a2, c2, T2, l2), 1.0
+        return 0, cap(a1, c1, T1, l1), 0.0
+
+    def revenue(l1, l2):
+        r1, r2, w0 = l1 * s, l2 * s, 0.5 * (l1 + l2) * s2
+        k, cap_k, p1 = bound(l1, l2)
+        w = rp2_kernel(r1, r2, w0, p1)
+        if w[k] > cap_k:
+            w = rp2_kernel(r1, r2, w0, 1.0 - p1)
+            if w[k] > cap_k:
+                return -_INF
+            rho = r1 + r2
+            r_k, r_o = (r1, r2) if k == 0 else (r2, r1)
+            if r_o > 0.0:  # else W_k is the same at every weight: keep this end
+                w_o = (rho * w0 / (1.0 - rho) - r_k * cap_k) / r_o
+                w = (cap_k, w_o) if k == 0 else (w_o, cap_k)
+        theta1 = _inverse_demand(a1, b1, c1, T1, l1, w[0])
+        theta2 = _inverse_demand(a2, b2, c2, T2, l2, w[1])
+        if theta1 is None or theta2 is None:
+            return -_INF
+        return theta1 * l1 + theta2 * l2
+
+    return bound, revenue
+
+
+def cloud_revenue_opt(cfg: CloudConfig) -> ControlSolution:
+    """Maximize theta1*l1 + theta2*l2 over prices and the priority weight.
+
+    The search runs over the arrival rates (l1, l2) and recovers each price
+    by inverse demand, theta_i = (a_i - l_i - c_i*W_i)/b_i with W_i the RP
+    wait at those rates, so every candidate is an exact demand equilibrium.
+    Rates whose price would leave [0, a_i/b_i], or whose wait breaks its SLA
+    cap T_i, are rejected.  Each rate pair is scored at its best weight,
+    read off the segment's ends (:func:`_cloud_score`), at one or two
+    closed-form wait evaluations.  Nested golden-section over the two
+    rates; the final bracket of each rate search is 1e-7*b_i, a price
+    resolution of 1e-7 in the delay-free part of the inverse demand.
+    `evaluations` counts the rate pairs scored.  Delay-blind demand (c = 0,
+    no SLA) earns sum((a_i*l_i - l_i^2)/b_i) whatever the waits, so it
+    takes the vertex l_i = a_i/2, prices a_i/(2*b_i), with no evaluation.
+
+    The reported p1 is the best weight from :func:`rp2_min_weight`, with
+    the waits and prices at it; `objective` is the score the search ranked.
+    The optimum is certified on a 21 x 21 price grid at that p1 by the
+    damped demand fixed point (:func:`_cloud_certify`), run only at the
     points whose revenue at the demand caps could beat the optimum:
     `certification_margin` is the largest revenue any converged,
     SLA-feasible grid point beats the optimum by (0 when none does),
@@ -505,45 +564,35 @@ def cloud_revenue_opt(cfg: CloudConfig) -> ControlSolution:
     s = 1.0 / cfg.mu
     s2 = (1.0 + cfg.scv) * s * s
     (a1, a2), (b1, b2), (c1, c2), (T1, T2) = cfg.a, cfg.b, cfg.c, cfg.T
-
-    def cap(a, c, T, lam):
-        # the largest wait at rate lam > 0 that keeps the price >= 0 and the SLA
-        return min(T + 1e-12, (a - lam) / c if c else _INF) if lam else _INF
-
-    def best_end(l1, l2):
-        # (revenue, p1, (theta1, theta2, W1, W2)) at the better end of the
-        # interval of feasible weights; inverse demand there checks the
-        # other class's cap, and -inf marks rates with no feasible weight
-        r1, r2, w0 = l1 * s, l2 * s, 0.5 * (l1 + l2) * s2
-        if l1 > 0.0 and l2 > 0.0 and c1 * b2 > c2 * b1:  # c1/b1 > c2/b2: largest p1
-            q = rp2_min_weight(r1, r2, w0, cap(a2, c2, T2, l2), 1)
-            p1 = None if q is None else 1.0 - q
-        else:  # smallest p1, also where the revenue is flat in p1
-            p1 = rp2_min_weight(r1, r2, w0, cap(a1, c1, T1, l1), 0)
-        if p1 is None:
-            return -_INF, None, None
-        w1, w2 = rp2_kernel(r1, r2, w0, p1)
-        theta1 = _inverse_demand(a1, b1, c1, T1, l1, w1)
-        theta2 = _inverse_demand(a2, b2, c2, T2, l2, w2)
-        if theta1 is None or theta2 is None:
-            return -_INF, None, None
-        return theta1 * l1 + theta2 * l2, p1, (theta1, theta2, w1, w2)
+    bound, revenue = _cloud_score(cfg)
 
     evaluations = 0
-    searched = {}  # l1 -> (l2, revenue) of the inner search
+    if c1 == c2 == 0.0 and T1 == T2 == _INF:
+        l1, l2 = 0.5 * a1, 0.5 * a2
+        r_best = revenue(l1, l2)
+    else:
+        searched = {}  # l1 -> (l2, revenue) of the inner search
 
-    def inner(l1):
-        nonlocal evaluations
-        if l1 not in searched:
-            l2, r, calls = _golden_max(lambda x: best_end(l1, x)[0], 0.0, a2, _THETA_TOL * b2)
-            evaluations += calls
-            searched[l1] = l2, r
-        return searched[l1]
+        def inner(l1):
+            nonlocal evaluations
+            if l1 not in searched:
+                l2, r, calls = _golden_max(lambda x: revenue(l1, x), 0.0, a2, _THETA_TOL * b2)
+                evaluations += calls
+                searched[l1] = l2, r
+            return searched[l1]
 
-    l1 = _golden_max(lambda x: inner(x)[1], 0.0, a1, _THETA_TOL * b1)[0]
-    # zero rates are always admissible (zero waits, revenue 0), so r_best is finite
-    l2, r_best = inner(l1)
-    _, p_best, (theta1, theta2, w1, w2) = best_end(l1, l2)
+        l1 = _golden_max(lambda x: inner(x)[1], 0.0, a1, _THETA_TOL * b1)[0]
+        # zero rates are always admissible (zero waits, revenue 0), so r_best is finite
+        l2, r_best = inner(l1)
+    r1, r2, w0 = l1 * s, l2 * s, 0.5 * (l1 + l2) * s2
+    k, cap_k, _ = bound(l1, l2)
+    # never None: rp2_min_weight tries the two ends with the very calls
+    # that found this pair feasible
+    q = rp2_min_weight(r1, r2, w0, cap_k, k)
+    p_best = q if k == 0 else 1.0 - q
+    w1, w2 = rp2_kernel(r1, r2, w0, p_best)
+    theta1 = _inverse_demand(a1, b1, c1, T1, l1, w1)
+    theta2 = _inverse_demand(a2, b2, c2, T2, l2, w2)
     active = tuple(
         name
         for name, w, T, l in (("T1", w1, T1, l1), ("T2", w2, T2, l2))
@@ -612,9 +661,11 @@ def joint_pricing_T1(cfg: JointPricingConfig) -> ControlSolution:
     rate is feasible iff W_p at p = 1, W0/(1 - rho_p), is within S_p:
     l <= 2*S_p*(1 - rho_p)/E[S^2] - lambda_p, clipped to mu - lambda_p.
     The reduced objective is concave in l, so one golden-section search
-    over the feasible rates, to 1e-14 of their range, finds it; p then
-    comes from :func:`rp2_min_weight`.  Delay-blind demand (c = 0, no SLA) takes the
-    vertex a/2 clipped to the stable range, with p = 0."""
+    over the feasible rates, to 1e-14 of their range, finds it, and that
+    reduced value is the reported objective; p, the price and the waits
+    then come from :func:`rp2_min_weight`'s weight.  Delay-blind demand
+    (c = 0, no SLA) takes the vertex a/2 clipped to the stable range, with
+    p = 0."""
     s = 1.0 / cfg.mu
     s2 = cfg.sigma2 + s * s
     ls_max = cfg.mu - cfg.lambda_p
@@ -686,7 +737,8 @@ def joint_pricing_T1(cfg: JointPricingConfig) -> ControlSolution:
 
     w_pri, w_sec = waits(ls_star, p_star)
     delay = cfg.c * w_sec if cfg.c else 0.0  # c = 0 ignores even an infinite wait
-    v_star = (cfg.a * ls_star - ls_star * ls_star - ls_star * delay) / cfg.b
+    # the objective the search ranked, not the one at the rounded weight
+    v_star = (cfg.a * ls_star - ls_star * ls_star) / cfg.b if delay_blind else reduced(ls_star)
     if not math.isfinite(v_star):
         raise InfeasibleError("no feasible (rate, priority) point")
     theta = (cfg.a - ls_star - delay) / cfg.b

@@ -110,7 +110,9 @@ class CustomerClassSpec:
 
 @dataclass(frozen=True)
 class SystemModel:
-    """An N-class M/G/1 system.  Class order is positional and never permuted."""
+    """An N-class M/G/1 system.  Class order is positional and never permuted.
+    The per-class loads `rho_per_class`, the total load `rho` and the mean
+    residual work `w0` are computed once, at construction."""
 
     classes: tuple[CustomerClassSpec, ...]
 
@@ -119,25 +121,19 @@ class SystemModel:
         if len(classes) < 1:
             raise InvalidParameterError("at least one customer class is required")
         object.__setattr__(self, "classes", classes)
+        # derived once; not fields, so equality, hashing and repr read
+        # `classes` alone, and the frozen class keeps them read-only
+        rho_per_class = tuple(c.lam * c.service.mean for c in classes)
+        object.__setattr__(self, "rho_per_class", rho_per_class)
+        object.__setattr__(self, "rho", sum(rho_per_class))
+        # W0 = sum_i (lambda_i / 2) * m2_i with m2 the service second moment
+        object.__setattr__(self, "w0", sum(0.5 * c.lam * c.service.second_moment for c in classes))
         if self.rho >= _LOAD_LIMIT:
             raise UnstableSystemError(f"total load rho = {self.rho:.12g} >= 1")
 
     @property
     def n_classes(self) -> int:
         return len(self.classes)
-
-    @property
-    def rho_per_class(self) -> tuple[float, ...]:
-        return tuple(c.lam * c.service.mean for c in self.classes)
-
-    @property
-    def rho(self) -> float:
-        return sum(self.rho_per_class)
-
-    @property
-    def w0(self) -> float:
-        # W0 = sum_i (lambda_i / 2) * m2_i with m2 the service second moment
-        return sum(0.5 * c.lam * c.service.second_moment for c in self.classes)
 
     def require_two_classes(self) -> None:
         if self.n_classes != 2:

@@ -226,6 +226,27 @@ class TestMap:
     def test_malformed_source_exit_4(self, model_path):
         assert main(["map", "--config", model_path, "--from", "rp", "--to", "ddp"]) == 4
 
+    def test_edd_integral_carries_its_branch(self, tmp_path):
+        # p1 = 0.8 maps to an integral on EDD's "neg" branch; analyze reads
+        # the branch from --sign (default "nonneg"), so map prints it, and
+        # the integral on that branch gives back RP's waits
+        p = tmp_path / "model.json"
+        det = {"kind": "deterministic", "mean": 0.855, "scv": 0.0}
+        p.write_text(json.dumps({"classes": [{"lambda": 0.495, "service": det},
+                                             {"lambda": 0.25, "service": det}]}))
+        out = tmp_path / "out.json"
+
+        def run(*argv):
+            assert main([*argv, "--config", str(p), "--out", str(out)]) == 0
+            return json.loads(out.read_text())
+
+        to = run("map", "--from", "rp:0.8", "--to", "edd")["to"]
+        assert to["sign"] == "neg"
+        edd = run("analyze", "--discipline", "edd", f"--integral={to['value']!r}", "--sign", to["sign"])
+        rp = run("analyze", "--discipline", "rp", "--p1", "0.8")
+        assert rp["waits"] == pytest.approx([0.5946, 1.0580], abs=1e-4)
+        assert edd["waits"] == pytest.approx(rp["waits"], abs=1e-12)
+
 
 class TestRegion:
     def test_sweep_shape(self, model_path, tmp_path):

@@ -33,7 +33,8 @@ from mg1lab import (
     segment_point,
     tail_prob_approx,
 )
-from mg1lab.control import _cloud_certify, _golden_max
+from mg1lab.analytic import rp2_min_weight
+from mg1lab.control import _cloud_certify, _cloud_score, _golden_max
 from mg1lab.errors import InfeasibleError, InvalidParameterError
 
 DET1 = ServiceDistribution.deterministic(1.0)
@@ -321,7 +322,9 @@ class TestSolverHelpers:
         for removed in ({"p_grid": 41}, {"theta_tol": 1e-7}):
             with pytest.raises(TypeError):
                 cloud_revenue_opt(cfg, **removed)
-        sol = cloud_revenue_opt(cfg)
+        # a delay-blind problem takes its vertex unsearched, so the count is
+        # read on one that is searched
+        sol = cloud_revenue_opt(CLOUD_CASES[1])
         assert sol.diagnostics["evaluations"] > 0
 
     def test_joint_reports_evaluations(self):
@@ -356,21 +359,26 @@ def _induced_rates(cfg, theta1, theta2, p1, iters=2000):
     return lam
 
 
-def _best_weight_on_grid(cfg, l1, l2, n=1001):
-    """Largest revenue over n evenly spaced weights at fixed rates (l1, l2),
-    with prices by inverse demand and the price and SLA checks written out."""
+def _revenue_at_weights(cfg, l1, l2, p):
+    """Revenue at fixed rates (l1, l2) and each weight of the array p (-inf
+    where a price or SLA check fails), with prices by inverse demand and
+    the checks written out, and the waits (W1, W2) at p."""
     s = 1.0 / cfg.mu
     s2 = (1.0 + cfg.scv) * s * s
-    p = np.linspace(0.0, 1.0, n)
     waits = rp2_kernel(l1 * s, l2 * s, 0.5 * (l1 + l2) * s2, p)
-    total, ok = np.zeros(n), np.ones(n, dtype=bool)
+    total, ok = np.zeros(len(p)), np.ones(len(p), dtype=bool)
     for lam, w, a, b, c, T in zip((l1, l2), waits, cfg.a, cfg.b, cfg.c, cfg.T):
         if lam > 0.0:
             with np.errstate(invalid="ignore"):
                 theta = (a - lam - (c * w if c else 0.0)) / b
             ok &= (theta >= 0.0) & (w <= T + 1e-12)
             total = total + np.where(ok, theta, 0.0) * lam
-    return float(np.max(np.where(ok, total, -np.inf)))
+    return np.where(ok, total, -np.inf), waits
+
+
+def _best_weight_on_grid(cfg, l1, l2, n=1001):
+    """Largest revenue over n evenly spaced weights at fixed rates (l1, l2)."""
+    return float(np.max(_revenue_at_weights(cfg, l1, l2, np.linspace(0.0, 1.0, n))[0]))
 
 
 @st.composite
@@ -418,13 +426,43 @@ class TestCloudEquilibrium:
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(cloud_configs().map(lambda cfg: dataclasses.replace(cfg, c=(0.0, 0.0), T=(math.inf,) * 2)))
     def test_delay_blind_price_resolution(self, cfg):
-        # the rate searches' final bracket, 1e-7*b_i, resolves each price to
-        # 1e-7 of the closed form a_i/(2*b_i); the revenue is flat there
+        # the revenue sum((a_i*l_i - l_i^2)/b_i) ignores the waits, so the
+        # solver takes its vertex l_i = a_i/2 unsearched, at the exact prices
         sol = cloud_revenue_opt(cfg)
         for a, b, theta in zip(cfg.a, cfg.b, (sol.params["theta1"], sol.params["theta2"])):
-            assert abs(theta - a / (2.0 * b)) <= 1e-7
+            assert theta == a / (2.0 * b)
+        assert sol.diagnostics["evaluations"] == 0 and sol.params["p1"] == 0.0
         want = sum(a * a / (4.0 * b) for a, b in zip(cfg.a, cfg.b))
         assert sol.objective == pytest.approx(want, rel=1e-12)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(cloud_configs(), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_score_is_the_revenue_at_the_best_weight(self, cfg, u1, u2):
+        # the score reads the best end's waits off the segment; solving for
+        # that weight (rp2_min_weight) and pricing there must earn the same,
+        # and no weight on a grid earns more
+        l1, l2 = u1 * cfg.a[0], u2 * cfg.a[1]
+        bound, revenue = _cloud_score(cfg)
+        score = revenue(l1, l2)
+        assert score >= _best_weight_on_grid(cfg, l1, l2) - 1e-12
+        s = 1.0 / cfg.mu
+        s2 = (1.0 + cfg.scv) * s * s
+        k, cap_k, _ = bound(l1, l2)
+        q = rp2_min_weight(l1 * s, l2 * s, 0.5 * (l1 + l2) * s2, cap_k, k)
+        if q is None:  # no weight keeps class k's cap
+            assert score == -math.inf
+            return
+        r, waits = _revenue_at_weights(cfg, l1, l2, np.array([q if k == 0 else 1.0 - q]))
+        want = float(r[0])
+        if math.isfinite(want) and math.isfinite(score):
+            assert score == pytest.approx(want, rel=0, abs=1e-12 * max(1.0, abs(want)))
+        elif math.isfinite(want) != math.isfinite(score):
+            # the other class's wait differs by rounding, so only a check
+            # of that class right at one of its caps may come out otherwise
+            o, lam = 1 - k, (l1, l2)[1 - k]
+            w = float(waits[o][0])
+            assert lam > 0.0 and (abs(w - cfg.T[o]) <= 1e-9
+                                  or abs(cfg.a[o] - lam - cfg.c[o] * w) <= 1e-9)
 
     @pytest.mark.parametrize(
         "cfg, binding",
@@ -514,8 +552,10 @@ def _joint_exact_reduced(cfg, ls):
     exact rational arithmetic from the float inputs (needs mu = 1)."""
     lam_p, ls, s2 = Fraction(cfg.lambda_p), Fraction(ls), Fraction(cfg.sigma2 + 1.0)
     w0 = (lam_p + ls) * s2 / 2
-    w_top = w0 / ((1 - lam_p - ls) * (1 - ls))  # W_p at p = 0
-    ls_ws = ls * w0 / (1 - ls) + lam_p * max(w_top - Fraction(cfg.S_p), 0)
+    ls_ws = ls * w0 / (1 - ls)
+    if math.isfinite(cfg.S_p):
+        w_top = w0 / ((1 - lam_p - ls) * (1 - ls))  # W_p at p = 0
+        ls_ws += lam_p * max(w_top - Fraction(cfg.S_p), 0)
     return (Fraction(cfg.a) * ls - ls * ls - Fraction(cfg.c) * ls_ws) / Fraction(cfg.b)
 
 
@@ -545,11 +585,25 @@ def _joint_exact_max(cfg):
     return max(f1, f2, f(0.0), f(hi))
 
 
+def _assert_ranked_reduced_objective(cfg):
+    """The reported objective is the reduced objective at the returned rate
+    to 1e-12 relative, or of the gross revenue a*l/b where that is larger:
+    it bounds every term the objective is a difference of, and the
+    objective can be 1e-4 of it where the SLA is within rounding of the
+    primary's zero-rate wait.  Below 1e-300 the terms underflow.  Needs
+    mu = 1."""
+    sol = joint_pricing_T1(cfg)
+    ls = sol.params["lambda_s"]
+    exact = _joint_exact_reduced(cfg, ls)
+    scale = max(abs(exact), Fraction(cfg.a) * Fraction(ls) / Fraction(cfg.b))
+    assert abs(Fraction(sol.objective) - exact) <= scale / 10**12 + Fraction(1e-300)
+
+
 @st.composite
-def joint_configs(draw):
+def joint_configs(draw, mu=st.floats(0.5, 2.0)):
     """Feasible joint-pricing problems: finite and infinite S_p, c = 0 and
     c > 0, loads from light to heavy."""
-    mu = draw(st.floats(0.5, 2.0))
+    mu = draw(mu)
     lam_p = mu * draw(st.floats(0.05, 0.9))
     sigma2 = draw(st.floats(0.0, 3.0)) / (mu * mu)
     s = 1.0 / mu
@@ -637,6 +691,20 @@ class TestJointPricing:
         sol = joint_pricing_T1(cfg)
         best = _joint_exact_max(cfg)
         assert _joint_exact_reduced(cfg, sol.params["lambda_s"]) >= best * (1 - Fraction(1, 10**12))
+
+    def test_objective_is_the_ranked_reduced_value(self):
+        # from a seeded search: S_p is within 3e-5 relative of the primary's
+        # wait at zero secondary rate, and the revenue at the weight
+        # rp2_min_weight rounds to was 3.8e-2 relative off the reduced
+        # objective the search ranked
+        cfg = JointPricingConfig(0.45120841369930453, 1.0, 0.8461901140266331, 0.7589552514393643,
+                                 1.4999660316728964, 2.432074258222404, 1.4942762839338115)
+        _assert_ranked_reduced_objective(cfg)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(joint_configs(mu=st.just(1.0)))
+    def test_objective_matches_exact_reduced(self, cfg):
+        _assert_ranked_reduced_objective(cfg)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(joint_configs())

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -62,6 +63,21 @@ class TestSystemModel:
         assert m.rho == pytest.approx(0.5)
         # two exponential classes at rate 0.25, mean 1: W0 = sum(lam * E[S^2]/2)
         assert m.w0 == pytest.approx(0.5)
+
+    def test_derived_loads_are_read_only_and_not_fields(self):
+        # rho_per_class, rho and w0 are computed once at construction; the
+        # dataclass still compares, hashes, prints and replaces by classes
+        m = model2(0.2, 0.3, ServiceDistribution.deterministic(1.0))
+        assert m.rho_per_class == (0.2, 0.3) and m.rho == 0.2 + 0.3 and m.w0 == 0.5 * 0.2 + 0.5 * 0.3
+        assert [f.name for f in dataclasses.fields(m)] == ["classes"]
+        twin = model2(0.2, 0.3, ServiceDistribution.deterministic(1.0))
+        assert twin == m and hash(twin) == hash(m) and repr(twin) == repr(m)
+        assert "rho" not in repr(m)
+        faster = dataclasses.replace(m, classes=model2(0.2, 0.4).classes)
+        assert faster.rho_per_class == (0.2, 0.4) and faster.w0 == 0.2 + 0.4 and faster != m
+        for name in ("rho_per_class", "rho", "w0"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(m, name, 0.0)
 
     def test_unstable_rejected(self):
         with pytest.raises(UnstableSystemError):
