@@ -39,6 +39,8 @@ from .mappings import (
     alpha_from_p1,
     beta_from_integral,
     beta_from_p1,
+    edd_config_from_ubar,
+    estimate_busy_integral,
     integral_from_beta,
     p1_from_alpha,
     p1_from_beta,
@@ -54,8 +56,6 @@ from .sim import (
     SimEstimate,
     Strict,
     busy_period_boundaries,
-    edd_config_from_ubar,
-    estimate_busy_integral,
     run_sim,
     service_start_sequence,
 )
@@ -88,10 +88,10 @@ __all__ = [
     "pp2_waits_approx", "rp_waits", "rp2_kernel", "rp2_min_weight", "rp2_waits",
     "SCHEMES", "SIMULATED_SCHEMES", "SchemeParameter", "SegmentTarget",
     "achieve_target", "alpha_from_p1", "beta_from_integral", "beta_from_p1",
+    "edd_config_from_ubar", "estimate_busy_integral",
     "integral_from_beta", "p1_from_alpha", "p1_from_beta",
     "DDP", "EDD", "GFCFS", "HOLPJ", "PP", "RP", "SimConfig", "SimEstimate", "Strict",
-    "busy_period_boundaries", "edd_config_from_ubar", "estimate_busy_integral",
-    "run_sim", "service_start_sequence",
+    "busy_period_boundaries", "run_sim", "service_start_sequence",
     "CloudConfig", "ControlSolution", "HpcConfig", "JointPricingConfig",
     "NetworkUtilityConfig", "approx_utility_gfcfs", "cloud_revenue_opt",
     "cmu_rule_2class", "hpc_revenue_constrained", "hpc_utility_opt", "joint_pricing_T1",

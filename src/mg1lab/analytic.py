@@ -74,12 +74,14 @@ def ddp_waits(model: SystemModel, b: Sequence[float]) -> WaitVector:
 def ddp2_waits(model: SystemModel, beta: float) -> WaitVector:
     """2-class delay-dependent priority waits for beta = b2/b1 in [0, +inf].
 
-    beta = 0 is strict (1,2) priority, beta = 1 global FCFS, and
-    beta = +inf strict (2,1); pass math.inf for the last case.
+    beta = 0 is strict (1,2) priority, beta = 1 global FCFS, and beta =
+    math.inf strict (2,1); both ends return the strict vectors exactly.
     """
     model.require_two_classes()
     if not (beta >= 0):
         raise InvalidParameterError(f"beta must be in [0, +inf], got {beta}")
+    if beta == 0.0 or beta == math.inf:
+        return strict_priority_waits_2class(model, 0 if beta == 0.0 else 1)
     r1, r2 = model.rho_per_class
     rho, w0 = model.rho, model.w0
     if beta <= 1.0:
@@ -87,7 +89,7 @@ def ddp2_waits(model: SystemModel, beta: float) -> WaitVector:
         w1 = w0 * (1.0 - rho * (1.0 - beta)) / den
         w2 = w0 / den
     else:
-        g = 0.0 if math.isinf(beta) else 1.0 / beta
+        g = 1.0 / beta
         den = (1.0 - rho) * (1.0 - r2 * (1.0 - g))
         w1 = w0 / den
         w2 = w0 * (1.0 - rho * (1.0 - g)) / den
@@ -176,12 +178,14 @@ def rp2_min_weight(r1: float, r2: float, w0: float, cap: float, klass: int) -> O
 def rp2_waits(model: SystemModel, p1: float) -> WaitVector:
     """2-class relative-priority closed form; p1 in [0, 1] with p2 = 1 - p1.
 
-    The endpoints p1 = 1 and p1 = 0 reproduce the strict-priority vectors
-    to rounding.
+    The endpoints p1 = 1 and p1 = 0 return the strict-priority vectors
+    exactly, which :func:`rp2_kernel` reaches only to rounding.
     """
     model.require_two_classes()
     if not (0.0 <= p1 <= 1.0):
         raise InvalidParameterError(f"p1 must lie in [0, 1], got {p1}")
+    if p1 == 1.0 or p1 == 0.0:
+        return strict_priority_waits_2class(model, 0 if p1 == 1.0 else 1)
     r1, r2 = model.rho_per_class
     return WaitVector(rp2_kernel(r1, r2, model.w0, p1))
 
@@ -211,10 +215,8 @@ def pp2_waits_approx(model: SystemModel, omega1: float) -> WaitVector:
     model.require_two_classes()
     if not (0.0 <= omega1 <= 1.0):
         raise InvalidParameterError(f"omega1 must lie in [0, 1], got {omega1}")
-    if omega1 == 1.0:
-        return strict_priority_waits_2class(model, 0)
-    if omega1 == 0.0:
-        return strict_priority_waits_2class(model, 1)
+    if omega1 == 1.0 or omega1 == 0.0:
+        return strict_priority_waits_2class(model, 0 if omega1 == 1.0 else 1)
 
     r1, r2 = model.rho_per_class
     w0 = model.w0

@@ -33,7 +33,7 @@ from .core import (
     strict_priority_waits_2class,
     wait_bounds,
 )
-from .analytic import ddp_waits, ddp2_waits, edd2_waits_from_integral, pp2_waits_approx, rp_waits, rp2_waits
+from .analytic import ddp_waits, ddp2_waits, edd2_waits_from_integral, rp_waits
 from .control import (
     CloudConfig,
     HpcConfig,
@@ -57,9 +57,8 @@ from .errors import (
     UnstableSystemError,
 )
 from .mappings import SCHEMES, integral_from_beta
-from .sim import DDP, EDD, GFCFS, HOLPJ, PP, RP, SimConfig, Strict, run_sim, service_start_sequence
-from .tables import check_table, table_csv
-from . import tables as _tables
+from .sim import DDP, EDD, GFCFS, HOLPJ, RP, SimConfig, Strict, run_sim, service_start_sequence
+from .tables import _TABLES
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -149,30 +148,29 @@ def _numbers(args: argparse.Namespace, name: str, alternative: str = "", kind=fl
         raise _MalformedValueError(f"--{name} must be comma-separated numbers, got {text!r}") from None
 
 
-def _strict_end(args: argparse.Namespace) -> Optional[int]:
-    """The class served first when the discipline's scalar flag, named after
-    its scheme's parameter, is at one of the scheme's ends; else None."""
+def _scalar(args: argparse.Namespace):
+    """(scheme record, value) of the discipline's scalar flag, named after its
+    scheme's parameter (--beta, --p1, --omega1); the value is None when the
+    flag is unset.  PP has no other flag, so there it is required."""
     scheme = SCHEMES.get(args.discipline)
-    value = getattr(args, scheme.param, None) if scheme else None
-    return None if value is None else scheme.end(value)
+    if args.discipline == "pp":
+        return scheme, _flag(args, scheme.param)
+    return scheme, getattr(args, scheme.param, None) if scheme else None
 
 
 def _discipline_from_args(args: argparse.Namespace):
     name = args.discipline
-    end = _strict_end(args)
-    if end is not None:
-        return Strict((end, 1 - end))
+    scheme, value = _scalar(args)
+    if value is not None:
+        return scheme.discipline(value)
     if name == "gfcfs":
         return GFCFS()
     if name == "strict":
         return Strict(_numbers(args, "order", kind=int))
     if name == "ddp":
-        # beta shorthand: rates (1, beta)
-        return DDP(_numbers(args, "b", " or --beta") if args.beta is None else (1.0, args.beta))
+        return DDP(_numbers(args, "b", " or --beta"))
     if name == "rp":
-        return RP(_numbers(args, "p", " or --p1") if args.p1 is None else (args.p1, 1.0 - args.p1))
-    if name == "pp":
-        return PP((_flag(args, "omega1"), 1.0))
+        return RP(_numbers(args, "p", " or --p1"))
     if name == "edd":
         return EDD(_numbers(args, "u"))
     return HOLPJ(_numbers(args, "u"))
@@ -181,24 +179,18 @@ def _discipline_from_args(args: argparse.Namespace):
 def cmd_analyze(args: argparse.Namespace) -> int:
     model = _load_model(args)
     name = args.discipline
-    end = _strict_end(args)
-    if end is not None:
-        waits = tuple(strict_priority_waits_2class(model, end))
+    scheme, value = _scalar(args)
+    if value is not None:
+        waits = tuple(scheme.waits(model, value))
     elif name == "gfcfs":
         w = gfcfs_wait(model)
         waits = tuple([w] * model.n_classes)
     elif name == "strict":
         waits = tuple(strict_priority_waits_2class(model, _numbers(args, "order", kind=int)[0]))
-    elif name == "ddp" and args.beta is not None:
-        waits = tuple(ddp2_waits(model, args.beta))
     elif name == "ddp":
         waits = tuple(ddp_waits(model, _numbers(args, "b", " or --beta")))
-    elif name == "rp" and args.p1 is not None:
-        waits = tuple(rp2_waits(model, args.p1))
     elif name == "rp":
         waits = tuple(rp_waits(model, _numbers(args, "p", " or --p1")))
-    elif name == "pp":
-        waits = tuple(pp2_waits_approx(model, _flag(args, "omega1")))
     elif name == "edd":
         waits = tuple(edd2_waits_from_integral(model, _flag(args, "integral"), args.sign))
     else:
@@ -262,8 +254,6 @@ def cmd_map(args: argparse.Namespace) -> int:
     if from_beta is None:
         raise InvalidParameterError(f"mapping to {dst!r} is not analytic; use achieve_target")
     out = from_beta(model, beta)
-    end = SCHEMES["ddp"].end(beta)
-    waits = ddp2_waits(model, beta) if end is None else strict_priority_waits_2class(model, end)
     to = {"scheme": dst, "value": out}
     if dst == "edd":  # the integral's branch, which analyze reads from --sign
         to["sign"] = integral_from_beta(model, beta)[1]
@@ -271,7 +261,7 @@ def cmd_map(args: argparse.Namespace) -> int:
         "from": {"scheme": src, "value": value},
         "to": to,
         "beta": beta,
-        "waits": list(waits),
+        "waits": list(ddp2_waits(model, beta)),
     }
     _emit(args, payload, f"scheme,value\n{dst},{out!r}\n")
     return EXIT_OK
@@ -299,15 +289,15 @@ def cmd_region(args: argparse.Namespace) -> int:
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
+    table = _TABLES[args.which]
+    rows = table.compute()
     if args.check:
-        problems = check_table(args.which)
+        problems = table.problems(rows)
         if problems:
             for p in problems:
                 print(p, file=sys.stderr)
             return EXIT_CHECK
-    csv_text = table_csv(args.which)
-    rows = _tables.compute_table1() if args.which == "table1" else _tables.compute_table2()
-    _emit(args, {"table": args.which, "rows": [list(r) for r in rows]}, csv_text)
+    _emit(args, {"table": args.which, "rows": [list(r) for r in rows]}, table.csv(rows))
     return EXIT_OK
 
 

@@ -705,13 +705,13 @@ def joint_pricing_T1(cfg: JointPricingConfig) -> ControlSolution:
         # p = 0).  By the conservation law ls*W_s is the secondary's strict-
         # priority delay ls*W0/(1 - rho_s) plus lambda_p times the part of
         # the primary's p = 0 wait the SLA takes back; this form has no
-        # cancellation of large terms near rho = 1
+        # cancellation of large terms near rho = 1; ls = 0 earns 0, even at l_k < 0
         rho = r_p + ls * s
         if rho >= _LOAD_LIMIT:  # unstable, as rp2_kernel decides
             return -_INF
         w0 = 0.5 * (lam_p + ls) * s2
         excess = (cfg.S_p * s * s * (ls - l_k) * (l_far - ls) / ((1.0 - rho) * (1.0 - ls * s))
-                  if ls > l_k else 0.0)
+                  if ls > l_k and ls > 0.0 else 0.0)
         ls_ws = ls * w0 / (1.0 - ls * s) + lam_p * excess
         return (cfg.a * ls - ls * ls - cfg.c * ls_ws) / cfg.b
 
@@ -742,6 +742,8 @@ def joint_pricing_T1(cfg: JointPricingConfig) -> ControlSolution:
     if not math.isfinite(v_star):
         raise InfeasibleError("no feasible (rate, priority) point")
     theta = (cfg.a - ls_star - delay) / cfg.b
+    if ls_star == 0.0:  # zero demand holds at every price from theta up: quote one in [0, a/b]
+        theta = min(max(theta, 0.0), cfg.a / cfg.b)
     active = []
     if math.isfinite(cfg.S_p) and w_pri > cfg.S_p - 1e-6:
         active.append("S_p")

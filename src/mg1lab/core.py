@@ -61,10 +61,6 @@ class ServiceDistribution:
     def second_moment(self) -> float:
         return self.mean * self.mean * (1.0 + self.scv)
 
-    @property
-    def variance(self) -> float:
-        return self.mean * self.mean * self.scv
-
     @classmethod
     def deterministic(cls, mean: float) -> "ServiceDistribution":
         return cls("deterministic", mean, 0.0)

@@ -1,7 +1,8 @@
 """Parameter transformations between the 2-class dynamic-priority schemes
 (beta <-> p1, beta <-> busy-period integral, alpha <-> p1), the table of
-complete schemes, and a completeness solver that hits any target point on
-the achievable segment with any scheme.
+complete schemes, the simulated EDD busy-period integral, and a
+completeness solver that hits any target point on the achievable segment
+with any scheme.
 
 The canonical exchange currencies are beta and the busy-period integral,
 which are exact and land exactly on the strict-priority ends (alpha = 1,
@@ -12,15 +13,15 @@ reported as the terminal parameter of a simulation-backed search.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .analytic import _integral_in_range, expected_clearing_time, rp2_min_weight
-from .core import SystemModel, segment_point, wait_bounds
+from .analytic import (_integral_in_range, ddp2_waits, expected_clearing_time, pp2_waits_approx,
+                       rp2_min_weight, rp2_waits)
+from .core import SystemModel, WaitVector, gfcfs_wait, segment_point, wait_bounds
 from .errors import InvalidParameterError, OracleRequiredError
-
-#: schemes whose parameter can only be located through a simulation oracle
-SIMULATED_SCHEMES = ("edd", "holpj", "pp")
+from .sim import DDP, EDD, PP, RP, DisciplineConfig, SimConfig, Strict, run_sim
 
 
 @dataclass(frozen=True)
@@ -116,34 +117,88 @@ def integral_from_beta(model: SystemModel, beta: float) -> tuple[float, str]:
     return iv, "nonneg"
 
 
+def _p1_of_w1(model: SystemModel, w1: float) -> float:
+    # the smallest class-1 weight whose wait is within w1; a target at the
+    # strict (1,2) wait that rounding puts below it gets strict priority
+    r1, r2 = model.rho_per_class
+    p1 = rp2_min_weight(r1, r2, model.w0, w1, 0)
+    return 1.0 if p1 is None else p1
+
+
 @dataclass(frozen=True)
 class Scheme:
     """One complete 2-class scheme: its parameter's name, the values that
-    serve class 1 first and class 2 first, and any exact map to beta and
-    back.  EDD's ends are urgency differences, but its map currency is the
-    busy-period integral of `map --from edd:X` and `analyze --integral`, on
-    the branch ("neg" or "nonneg") that only EDD's `to_beta` reads."""
+    serve class 1 first and class 2 first, any exact map to beta and back,
+    the waits of a parameter (exact at the ends; PP's approximate between),
+    the parameter of an exact class-1 wait, and the simulator discipline
+    between the ends; None where there is none yet.  EDD's ends are urgency
+    differences, but its map currency is the busy-period integral of
+    `map --from edd:X` and `analyze --integral`, on the branch ("neg" or
+    "nonneg") that only EDD's `to_beta` reads."""
 
     param: str
     ends: tuple[float, float]
     to_beta: Optional[Callable[[SystemModel, float, str], float]] = None
     from_beta: Optional[Callable[[SystemModel, float], float]] = None
+    waits: Optional[Callable[[SystemModel, float], WaitVector]] = None
+    inverse: Optional[Callable[[SystemModel, float], float]] = None
+    config: Optional[Callable[[float], DisciplineConfig]] = None
 
-    def end(self, value: float) -> Optional[int]:
-        """The class (0 or 1) that value serves first, if it is an end."""
-        return self.ends.index(value) if value in self.ends else None
+    def discipline(self, value: float) -> DisciplineConfig:
+        """The simulator discipline of a parameter: strict priority at an end."""
+        if value in self.ends:
+            first = self.ends.index(value)
+            return Strict((first, 1 - first))
+        return self.config(value)
 
 
 #: every complete 2-class scheme, by name
 SCHEMES = {
-    "ddp": Scheme("beta", (0.0, math.inf), lambda m, beta, _: beta, lambda m, beta: beta),
+    "ddp": Scheme("beta", (0.0, math.inf), lambda m, beta, _: beta, lambda m, beta: beta,
+                  waits=ddp2_waits, inverse=lambda m, w1: beta_from_p1(m.rho, _p1_of_w1(m, w1)),
+                  config=lambda beta: DDP((1.0, beta))),
     "rp": Scheme("p1", (1.0, 0.0), lambda m, p1, _: beta_from_p1(m.rho, p1),
-                 lambda m, beta: p1_from_beta(m.rho, beta)),
+                 lambda m, beta: p1_from_beta(m.rho, beta),
+                 waits=rp2_waits, inverse=_p1_of_w1, config=lambda p1: RP((p1, 1.0 - p1))),
     "edd": Scheme("ubar", (-math.inf, math.inf), beta_from_integral,
-                  lambda m, beta: integral_from_beta(m, beta)[0]),
+                  lambda m, beta: integral_from_beta(m, beta)[0],
+                  config=lambda ubar: EDD((max(ubar, 0.0), max(-ubar, 0.0)))),
     "holpj": Scheme("dbar", (-math.inf, math.inf)),
-    "pp": Scheme("omega1", (1.0, 0.0)),
+    "pp": Scheme("omega1", (1.0, 0.0), waits=pp2_waits_approx, config=lambda omega1: PP((omega1, 1.0))),
 }
+
+#: schemes whose parameter can only be located through a simulation oracle
+SIMULATED_SCHEMES = tuple(name for name, scheme in SCHEMES.items() if scheme.inverse is None)
+
+
+def edd_config_from_ubar(model: SystemModel, ubar: float) -> DisciplineConfig:
+    """2-class EDD configuration for an urgency difference u1 - u2 = ubar;
+    EDD's ends, ubar = -inf and +inf, run strict-priority dispatch."""
+    model.require_two_classes()
+    return SCHEMES["edd"].discipline(ubar)
+
+
+def estimate_busy_integral(
+    model: SystemModel, ubar: float, cfg: SimConfig
+) -> tuple[float, float]:
+    """Simulation estimate of the busy-period integral at urgency difference
+    ubar, recovered from the class-1 mean wait; returns (value, ci)."""
+    model.require_two_classes()
+    rhos = model.rho_per_class
+    if rhos[1] == 0:
+        raise InvalidParameterError("class 2 load is zero; the integral is undefined")
+    est = run_sim(model, edd_config_from_ubar(model, ubar), cfg)
+    ew = gfcfs_wait(model)
+    value = abs(est.mean[0] - ew) / rhos[1]
+    ci = est.ci_halfwidth_95[0] / rhos[1]
+    upper = expected_clearing_time(model, 1 if ubar >= 0 else 0)
+    if value > upper + ci:
+        warnings.warn(
+            f"integral estimate {value:.6g} exceeds branch bound {upper:.6g} beyond its CI; "
+            "increase the sample size",
+            stacklevel=2,
+        )
+    return value, ci
 
 
 def p1_from_alpha(model: SystemModel, alpha: float) -> float:
@@ -154,14 +209,6 @@ def p1_from_alpha(model: SystemModel, alpha: float) -> float:
     if alpha in (0.0, 1.0):
         return SCHEMES["rp"].ends[0 if alpha else 1]
     return _p1_of_w1(model, w1)
-
-
-def _p1_of_w1(model: SystemModel, w1: float) -> float:
-    # the smallest class-1 weight whose wait is within w1; a target at the
-    # strict (1,2) wait that rounding puts below it gets strict priority
-    r1, r2 = model.rho_per_class
-    p1 = rp2_min_weight(r1, r2, model.w0, w1, 0)
-    return 1.0 if p1 is None else p1
 
 
 def alpha_from_p1(model: SystemModel, p1: float) -> float:
@@ -212,7 +259,7 @@ def achieve_target(
 ) -> SchemeParameter:
     """Find the scheme parameter whose class-1 mean wait matches the target.
 
-    For RP and DDP the answer is analytic and exact.  For EDD, HOL-PJ and PP
+    For RP and DDP the record's exact inverse answers.  For EDD, HOL-PJ and PP
     a simulation oracle `param -> (mean_w1, ci_halfwidth)` must be supplied.
     The parameter is located on a bounded variable t in [0, 1], with class-1
     wait increasing in t, stopping once the oracle CI covers the target
@@ -244,10 +291,9 @@ def achieve_target(
         end = SCHEMES[scheme].ends[0 if w1_star == lo1 else 1]
         return SchemeParameter(scheme, end, {"case": "endpoint"})
 
-    if scheme not in SIMULATED_SCHEMES:
-        p1 = _p1_of_w1(model, w1_star)
-        value = p1 if scheme == "rp" else beta_from_p1(rho, p1)
-        return SchemeParameter(scheme, value, {"case": "analytic"})
+    inverse = SCHEMES[scheme].inverse
+    if inverse is not None:
+        return SchemeParameter(scheme, inverse(model, w1_star), {"case": "analytic"})
 
     if sim_oracle is None:
         raise OracleRequiredError(f"scheme {scheme!r} needs a simulation oracle")

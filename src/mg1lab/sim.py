@@ -32,17 +32,14 @@ from __future__ import annotations
 
 import math
 import operator
-import warnings
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Optional
 
 import numpy as np
 
-from .analytic import expected_clearing_time
-from .core import ServiceDistribution, SystemModel, WaitVector, conservation_residual, gfcfs_wait
+from .core import ServiceDistribution, SystemModel, WaitVector, conservation_residual
 from .errors import InvalidParameterError, WrongClassCountError
-from .mappings import SCHEMES
 
 _CHUNK = 4096  # draws per substream call; H2 services interleave two draws per chunk
 _INF = math.inf
@@ -236,18 +233,14 @@ def _chooser(disc: DisciplineConfig, draw):
 
     The two-class loop calls it only when both head arrivals a0 and a1 are
     strictly before `now`; it returns True to serve class 2 (index 1).
-    Only PP strictly between its ends draws from the selection substream
-    `draw`.  RP returns None: it counts its queues, so it runs the list
-    loop with its `_selector` rule."""
+    Only PP draws from the selection substream `draw`.  RP returns None: it
+    counts its queues, so it runs the list loop with its `_selector` rule."""
     if isinstance(disc, RP):
         return None
     if isinstance(disc, PP):
         p0 = disc.p[0]  # queue 1's polling probability
-        if 0.0 < p0 < 1.0:
-            return lambda now, a0, a1: draw() >= p0
-        # at its ends PP always polls the same queue first and draws nothing
-        second = p0 == 0.0
-        return lambda now, a0, a1: second
+        # a draw lies in [0, 1), so at p0 = 1 and 0 one queue always goes first
+        return lambda now, a0, a1: draw() >= p0
     if isinstance(disc, Strict):
         second = disc.order[0] == 1
         return lambda now, a0, a1: second
@@ -605,36 +598,3 @@ def busy_period_boundaries(
     seq = np.random.SeedSequence(seed).spawn(1)[0]
     _replicate(model, disc, 0, n_jobs, seq, boundaries=boundaries)
     return boundaries
-
-
-def edd_config_from_ubar(model: SystemModel, ubar: float) -> DisciplineConfig:
-    """2-class EDD configuration for an urgency difference u1 - u2 = ubar;
-    EDD's ends, ubar = -inf and +inf, run strict-priority dispatch."""
-    model.require_two_classes()
-    end = SCHEMES["edd"].end(ubar)
-    if end is not None:
-        return Strict((end, 1 - end))
-    return EDD((max(ubar, 0.0), max(-ubar, 0.0)))
-
-
-def estimate_busy_integral(
-    model: SystemModel, ubar: float, cfg: SimConfig
-) -> tuple[float, float]:
-    """Simulation estimate of the busy-period integral at urgency difference
-    ubar, recovered from the class-1 mean wait; returns (value, ci)."""
-    model.require_two_classes()
-    rhos = model.rho_per_class
-    if rhos[1] == 0:
-        raise InvalidParameterError("class 2 load is zero; the integral is undefined")
-    est = run_sim(model, edd_config_from_ubar(model, ubar), cfg)
-    ew = gfcfs_wait(model)
-    value = abs(est.mean[0] - ew) / rhos[1]
-    ci = est.ci_halfwidth_95[0] / rhos[1]
-    upper = expected_clearing_time(model, 1 if ubar >= 0 else 0)
-    if value > upper + ci:
-        warnings.warn(
-            f"integral estimate {value:.6g} exceeds branch bound {upper:.6g} beyond its CI; "
-            "increase the sample size",
-            stacklevel=2,
-        )
-    return value, ci

@@ -8,9 +8,8 @@ recomputed values cell by cell at the stated tolerances.
 
 from __future__ import annotations
 
-import io
-import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .core import CustomerClassSpec, ServiceDistribution, SystemModel
 from .control import (
@@ -96,10 +95,6 @@ def compute_table1_row(lam1: float, lam2: float, d: float, b: float) -> tuple[fl
     return opt.diagnostics["K"], opt.params["w1"], opt.diagnostics["w2"], p_rp, p_pp
 
 
-def compute_table1() -> list[tuple[float, ...]]:
-    return [compute_table1_row(*inst) for inst in TABLE1_INSTANCES]
-
-
 def compute_table2_row(lam1, lam2, d, b, v3) -> tuple[float, float, float]:
     model = _model(lam1, lam2)
     cfg = NetworkUtilityConfig(model, d, b, TABLE2_V1, TABLE2_V2, v3, TABLE2_V4)
@@ -107,50 +102,58 @@ def compute_table2_row(lam1, lam2, d, b, v3) -> tuple[float, float, float]:
     return p_rp, network_optimal_utility(cfg).objective, approx_utility_gfcfs(cfg)
 
 
-def compute_table2() -> list[tuple[float, float, float]]:
-    return [compute_table2_row(*inst) for inst in TABLE2_INSTANCES]
+@dataclass(frozen=True)
+class _Table:
+    """One embedded table: its instances, their row function, the printed
+    values, and a tolerance and a CSV format per computed column."""
+
+    name: str
+    header: tuple[str, ...]
+    instances: tuple[tuple[float, ...], ...]
+    row: Callable[..., tuple[float, ...]]
+    expected: tuple[tuple[float, ...], ...]
+    tol: tuple[float, ...]
+    formats: tuple[str, ...]
+
+    def compute(self) -> list[tuple[float, ...]]:
+        return [self.row(*inst) for inst in self.instances]
+
+    def problems(self, rows: list) -> list[str]:
+        return [f"{self.name} row {i + 1} col {col}: got {g:.6f}, expected {w:.6f}"
+                for i, (got, want) in enumerate(zip(rows, self.expected))
+                for col, g, w, t in zip(self.header[-len(self.tol):], got, want, self.tol) if abs(g - w) > t]
+
+    def csv(self, rows: list) -> str:
+        cells = [[f"{x:.4f}" for x in inst] + [format(x, f) for x, f in zip(row, self.formats)]
+                 for inst, row in zip(self.instances, rows)]
+        return "".join(",".join(line) + "\n" for line in [self.header, *cells])
+
+
+_TABLES = {
+    "table1": _Table("table1", TABLE1_HEADER, TABLE1_INSTANCES, compute_table1_row, TABLE1_EXPECTED,
+                     (TABLE1_TOL,) * 5, (".4f",) * 5),
+    "table2": _Table("table2", TABLE2_HEADER, TABLE2_INSTANCES, compute_table2_row, TABLE2_EXPECTED,
+                     TABLE2_TOL, (".4f", ".2f", ".2f")),
+}
+compute_table1 = _TABLES["table1"].compute
+compute_table2 = _TABLES["table2"].compute
+
+
+def _table(which: str) -> _Table:
+    if which not in _TABLES:
+        raise ValueError(f"unknown table {which!r}")
+    return _TABLES[which]
 
 
 def check_table(which: str) -> list[str]:
     """Recompute a table and compare against the embedded expected values;
     returns a list of human-readable mismatch descriptions (empty = pass)."""
-    problems: list[str] = []
-    if which == "table1":
-        for i, (got, want) in enumerate(zip(compute_table1(), TABLE1_EXPECTED)):
-            for j, (g, w) in enumerate(zip(got, want)):
-                if abs(g - w) > TABLE1_TOL:
-                    problems.append(
-                        f"table1 row {i + 1} col {TABLE1_HEADER[4 + j]}: "
-                        f"got {g:.6f}, expected {w:.6f}"
-                    )
-    elif which == "table2":
-        for i, (got, want) in enumerate(zip(compute_table2(), TABLE2_EXPECTED)):
-            for j, (g, w) in enumerate(zip(got, want)):
-                if abs(g - w) > TABLE2_TOL[j]:
-                    problems.append(
-                        f"table2 row {i + 1} col {TABLE2_HEADER[5 + j]}: "
-                        f"got {g:.6f}, expected {w:.6f}"
-                    )
-    else:
-        raise ValueError(f"unknown table {which!r}")
-    return problems
+    table = _table(which)
+    return table.problems(table.compute())
 
 
 def table_csv(which: str) -> str:
-    """CSV rendering (dot decimal, 4-decimal cells, header row)."""
-    out = io.StringIO()
-    if which == "table1":
-        out.write(",".join(TABLE1_HEADER) + "\n")
-        for inst, row in zip(TABLE1_INSTANCES, compute_table1()):
-            cells = [f"{x:.4f}" for x in inst] + [f"{x:.4f}" for x in row]
-            out.write(",".join(cells) + "\n")
-    elif which == "table2":
-        out.write(",".join(TABLE2_HEADER) + "\n")
-        for inst, row in zip(TABLE2_INSTANCES, compute_table2()):
-            cells = [f"{x:.4f}" for x in inst] + [
-                f"{row[0]:.4f}", f"{row[1]:.2f}", f"{row[2]:.2f}"
-            ]
-            out.write(",".join(cells) + "\n")
-    else:
-        raise ValueError(f"unknown table {which!r}")
-    return out.getvalue()
+    """CSV rendering (dot decimal, 4-decimal cells, header row; table 2's
+    utilities to 2 decimals)."""
+    table = _table(which)
+    return table.csv(table.compute())

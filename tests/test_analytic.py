@@ -138,13 +138,16 @@ class TestRP:
 
 class TestRP2Kernel:
     def test_array_call_bit_identical_to_scalar_waits(self):
+        # the array path against scalar kernel calls, and rp2_waits against
+        # the kernel strictly inside (0, 1); its ends are strict priority's
         grid = np.linspace(0.0, 1.0, 1001)
         for m in random_models(5, seed=11):
             r1, r2 = m.rho_per_class
             w1, w2 = rp2_kernel(r1, r2, m.w0, grid)
-            ref = [rp2_waits(m, p) for p in grid]
+            ref = [rp2_kernel(r1, r2, m.w0, p) for p in grid.tolist()]
             assert w1.tolist() == [w[0] for w in ref]
             assert w2.tolist() == [w[1] for w in ref]
+            assert all(tuple(rp2_waits(m, p)) == w for p, w in zip(grid.tolist()[1:-1], ref[1:-1]))
 
     def test_unstable_load_gives_inf(self):
         for r1, r2 in ((0.6, 0.4), (0.7, 0.5), (0.5, 0.5 - 1e-10)):

@@ -621,6 +621,18 @@ class TestJointPricing:
         assert sol.params["lambda_s"] == pytest.approx(0.0, abs=1e-9)
         assert sol.objective == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("cfg", [
+        JointPricingConfig(0.3, 1.0, 1.0, 0.7, 0.0, 1.0, 1.0),  # a = 0: theta was -0.3
+        # S_p within rounding below the zero-rate primary wait: theta was
+        # -0.059375 and the objective -7.09e-17, from the SLA's excess at l = 0
+        JointPricingConfig(0.71875, 1.0, 0.0, 1.2777777777777777, 0.3, 1.0, 1.0),
+    ])
+    def test_zero_rate_is_priced_in_range_and_earns_nothing(self, cfg):
+        sol = joint_pricing_T1(cfg)
+        assert sol.params["lambda_s"] == 0.0
+        assert 0.0 <= sol.params["theta"] <= cfg.a / cfg.b
+        assert sol.objective == 0.0
+
     def test_delay_blind_caps_at_stability(self):
         cfg = JointPricingConfig(0.3, 1.0, 1.0, math.inf, 2.0, 1.0, 0.0)
         sol = joint_pricing_T1(cfg)
@@ -712,7 +724,9 @@ class TestJointPricing:
         sol = joint_pricing_T1(cfg)
         assert sol.objective >= _joint_grid_max(cfg) - 1e-6
         assert sol.diagnostics["W_p"] <= cfg.S_p + 1e-12
-        # demand identity: lambda_s = a - b*theta - c*S_s (c = 0 ignores S_s)
+        # demand identity: lambda_s = max(a - b*theta - c*S_s, 0) (c = 0
+        # ignores S_s); a zero rate is priced in [0, a/b]
         delay = cfg.c * sol.params["S_s"] if cfg.c else 0.0
         implied = cfg.a - cfg.b * sol.params["theta"] - delay
-        assert implied == pytest.approx(sol.params["lambda_s"], abs=1e-9)
+        assert max(implied, 0.0) == pytest.approx(sol.params["lambda_s"], abs=1e-9)
+        assert 0.0 <= sol.params["theta"] <= cfg.a / cfg.b or sol.params["lambda_s"] > 0.0

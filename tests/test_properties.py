@@ -5,7 +5,9 @@ classes possibly without arrivals).  The simulator properties add a seed
 and run a few thousand jobs; the analytic ones check the conservation law
 for the N-class waits, the round trips of the beta, p1, busy-period
 integral and segment-weight maps, that every map lands exactly on the
-strict-priority ends, and the PP approximation's discriminant bound.
+strict-priority ends, that each scheme record's waits, inverse and
+simulator discipline meet there, and the PP approximation's discriminant
+bound.
 Hypothesis runs derandomized and without an example database, so every
 run tries the same examples.
 """
@@ -54,6 +56,7 @@ from mg1lab import (
     strict_priority_waits_2class,
 )
 from mg1lab.cli import main
+from mg1lab.sim import validate_discipline
 
 from holpj_reference import list_loop, queue_jump_selector
 
@@ -284,6 +287,36 @@ def test_scheme_maps_meet_their_consumers_and_the_ends(m, src, dst, first, frac,
     mapped = _cli(m, "map", "--from", f"{src}:{value!r}", "--sign", branch, "--to", dst)
     assert mapped["to"]["value"] == (out if math.isfinite(out) else None)  # JSON writes inf as null
     assert mapped["waits"] == strict
+
+
+def _interior(scheme, frac):
+    """The scheme's parameter strictly between its ends at frac in (0, 1)."""
+    if scheme == "ddp":
+        return frac / (1.0 - frac)
+    if scheme in ("edd", "holpj"):
+        return math.tan(math.pi * (frac - 0.5))
+    return frac
+
+
+@ANALYTIC
+@given(models(st.just(2), empty=False), st.sampled_from(list(SCHEMES)), st.sampled_from([0, 1]),
+       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example(EDGE_23, "rp", 0, 0.5)
+@example(EDGE_23, "ddp", 0, 0.5)
+def test_scheme_records_meet_at_the_ends(m, name, first, frac):
+    # at the end serving class `first` first a record's waits are
+    # wait_bounds' vector bit for bit and its discipline is Strict; between
+    # the ends its discipline is valid and its inverse recovers the class-1
+    # wait to achieve_target's tolerance
+    scheme, end, value = SCHEMES[name], SCHEMES[name].ends[first], _interior(name, frac)
+    assert scheme.discipline(end) == Strict((first, 1 - first))
+    if scheme.config is not None:
+        validate_discipline(m, scheme.discipline(value))
+    if scheme.waits is not None:
+        assert tuple(scheme.waits(m, end)) == tuple(strict_priority_waits_2class(m, first))
+    if scheme.inverse is not None:
+        w1 = scheme.waits(m, value)[0]
+        assert math.isclose(scheme.waits(m, scheme.inverse(m, w1))[0], w1, rel_tol=1e-10)
 
 
 @ANALYTIC
