@@ -58,7 +58,7 @@ from .errors import (
 )
 from .mappings import SCHEMES, integral_from_beta
 from .sim import DDP, EDD, GFCFS, HOLPJ, RP, SimConfig, Strict, run_sim, service_start_sequence
-from .tables import _TABLES
+from .tables import get_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -289,7 +289,7 @@ def cmd_region(args: argparse.Namespace) -> int:
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
-    table = _TABLES[args.which]
+    table = get_table(args.which)
     rows = table.compute()
     if args.check:
         problems = table.problems(rows)

@@ -139,7 +139,8 @@ compute_table1 = _TABLES["table1"].compute
 compute_table2 = _TABLES["table2"].compute
 
 
-def _table(which: str) -> _Table:
+def get_table(which: str) -> _Table:
+    """The embedded table named ``which`` ("table1" or "table2")."""
     if which not in _TABLES:
         raise ValueError(f"unknown table {which!r}")
     return _TABLES[which]
@@ -148,12 +149,12 @@ def _table(which: str) -> _Table:
 def check_table(which: str) -> list[str]:
     """Recompute a table and compare against the embedded expected values;
     returns a list of human-readable mismatch descriptions (empty = pass)."""
-    table = _table(which)
+    table = get_table(which)
     return table.problems(table.compute())
 
 
 def table_csv(which: str) -> str:
     """CSV rendering (dot decimal, 4-decimal cells, header row; table 2's
     utilities to 2 decimals)."""
-    table = _table(which)
+    table = get_table(which)
     return table.csv(table.compute())

@@ -724,9 +724,12 @@ class TestJointPricing:
         sol = joint_pricing_T1(cfg)
         assert sol.objective >= _joint_grid_max(cfg) - 1e-6
         assert sol.diagnostics["W_p"] <= cfg.S_p + 1e-12
-        # demand identity: lambda_s = max(a - b*theta - c*S_s, 0) (c = 0
-        # ignores S_s); a zero rate is priced in [0, a/b]
+        # demand identity: lambda_s = a - b*theta - c*S_s (c = 0 ignores
+        # S_s); a zero rate only needs no demand at a price in [0, a/b]
         delay = cfg.c * sol.params["S_s"] if cfg.c else 0.0
         implied = cfg.a - cfg.b * sol.params["theta"] - delay
-        assert max(implied, 0.0) == pytest.approx(sol.params["lambda_s"], abs=1e-9)
-        assert 0.0 <= sol.params["theta"] <= cfg.a / cfg.b or sol.params["lambda_s"] > 0.0
+        if sol.params["lambda_s"] == 0.0:
+            assert implied <= 1e-9
+            assert 0.0 <= sol.params["theta"] <= cfg.a / cfg.b
+        else:
+            assert implied == pytest.approx(sol.params["lambda_s"], abs=1e-9)
