@@ -10,7 +10,7 @@ for the caller to inspect rather than hidden.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -147,10 +147,12 @@ def rp2_kernel(r1, r2, w0, p1):
     return (1.0 - rho + rho * p2) * w0 / den, (1.0 - rho + rho * p1) * w0 / den
 
 
-def rp2_min_weight(r1: float, r2: float, w0: float, cap: float, klass: int) -> Optional[float]:
-    """Unvalidated: the smallest weight q of class `klass` (0 or 1) whose
-    :func:`rp2_kernel` wait, at p1 = q for klass 0 and 1 - q for klass 1, is
-    within `cap`; None when even q = 1 misses it (an unstable load included).
+def rp2_min_weight(r1: float, r2: float, w0: float, cap: float, klass: int) -> tuple[float, float, float]:
+    """Unvalidated: (p1, w1, w2) at the smallest weight q of class `klass`
+    (0 or 1) whose :func:`rp2_kernel` wait is within `cap`, with p1 = q for
+    klass 0 and 1 - q for klass 1 and (w1, w2) the kernel's waits at p1.
+    Where no weight meets the cap (an unstable load included) q = 1, full
+    priority to `klass`, and class `klass`'s wait is above the cap.
 
     W_k(q) = (1 - rho*q)*W0 / ((1 - rho)*(1 - r_o + q*(r_o - r_k))), with r_o
     the other class's load, falls in q, so q comes in closed form, raised in
@@ -158,21 +160,24 @@ def rp2_min_weight(r1: float, r2: float, w0: float, cap: float, klass: int) -> O
     """
     r_k, r_o = (r1, r2) if klass == 0 else (r2, r1)
 
-    def wait(q):
-        return rp2_kernel(r1, r2, w0, q if klass == 0 else 1.0 - q)[klass]
+    def probe(q):
+        p1 = q if klass == 0 else 1.0 - q
+        return (p1, *rp2_kernel(r1, r2, w0, p1))
 
-    if wait(0.0) <= cap:
-        return 0.0
-    if wait(1.0) > cap:
-        return None
+    found = probe(0.0)
+    if found[1 + klass] <= cap:
+        return found
+    found = probe(1.0)
+    if found[1 + klass] > cap:
+        return found
     rho = r1 + r2
     q = (w0 - cap * (1.0 - rho) * (1.0 - r_o)) / (rho * w0 + cap * (1.0 - rho) * (r_o - r_k))
     q = min(q, 1.0) if q > 0.0 else 0.0
     step = 2.0 ** -52
-    while wait(q) > cap:
+    while (found := probe(q))[1 + klass] > cap:
         q = min(1.0, q + step)
         step *= 2.0
-    return q
+    return found
 
 
 def rp2_waits(model: SystemModel, p1: float) -> WaitVector:

@@ -188,9 +188,8 @@ def rp_param_for_utility(cfg: NetworkUtilityConfig) -> ControlSolution:
     K, case = _deadline_case(cfg)
     if case != "dynamic":
         return ControlSolution(case, {"p1": 0.0}, diagnostics={"K": K})
-    # None only where rounding leaves the strict-priority wait above K = lo
-    p1 = rp2_min_weight(*model.rho_per_class, model.w0, K, 0)
-    return ControlSolution("dynamic", {"p1": 1.0 if p1 is None else p1}, diagnostics={"K": K})
+    p1 = rp2_min_weight(*model.rho_per_class, model.w0, K, 0)[0]
+    return ControlSolution("dynamic", {"p1": p1}, diagnostics={"K": K})
 
 
 def pp_param_for_utility_approx(cfg: NetworkUtilityConfig) -> ControlSolution:
@@ -350,16 +349,13 @@ def hpc_revenue_constrained(cfg: HpcConfig) -> ControlSolution:
     if cfg.S_R is None:
         raise InvalidParameterError("S_R is required for the constrained problem")
     model = cfg.model()
-    r1, r2 = model.rho_per_class
-    w_min = rp2_kernel(r1, r2, model.w0, 0.0)[1]
-    if cfg.S_R < w_min - 1e-12:
+    # where no weight meets S_R, p = 0 and W_R is its least value
+    p_star, w_p, w_r = rp2_min_weight(*model.rho_per_class, model.w0, cfg.S_R, 1)
+    if cfg.S_R < w_r - 1e-12:
         raise InfeasibleError(
-            f"S_R={cfg.S_R:.6g} is below the minimum regular-class wait {w_min:.6g}"
+            f"S_R={cfg.S_R:.6g} is below the minimum regular-class wait {w_r:.6g}"
         )
-    q = rp2_min_weight(r1, r2, model.w0, cfg.S_R, 1)
-    p_star = 0.0 if q is None else 1.0 - q
-    active = () if q == 0.0 else ("S_R",)
-    w_p, w_r = rp2_kernel(r1, r2, model.w0, p_star)
+    active = () if p_star == 1.0 else ("S_R",)
     theta = cfg.a - cfg.b * w_p
     return ControlSolution(
         "constrained" if active else "slack",
@@ -586,11 +582,7 @@ def cloud_revenue_opt(cfg: CloudConfig) -> ControlSolution:
         l2, r_best = inner(l1)
     r1, r2, w0 = l1 * s, l2 * s, 0.5 * (l1 + l2) * s2
     k, cap_k, _ = bound(l1, l2)
-    # never None: rp2_min_weight tries the two ends with the very calls
-    # that found this pair feasible
-    q = rp2_min_weight(r1, r2, w0, cap_k, k)
-    p_best = q if k == 0 else 1.0 - q
-    w1, w2 = rp2_kernel(r1, r2, w0, p_best)
+    p_best, w1, w2 = rp2_min_weight(r1, r2, w0, cap_k, k)
     theta1 = _inverse_demand(a1, b1, c1, T1, l1, w1)
     theta2 = _inverse_demand(a2, b2, c2, T2, l2, w2)
     active = tuple(
@@ -662,8 +654,10 @@ def joint_pricing_T1(cfg: JointPricingConfig) -> ControlSolution:
     l <= 2*S_p*(1 - rho_p)/E[S^2] - lambda_p, clipped to mu - lambda_p.
     The reduced objective is concave in l, so one golden-section search
     over the feasible rates, to 1e-14 of their range, finds it, and that
-    reduced value is the reported objective; p, the price and the waits
-    then come from :func:`rp2_min_weight`'s weight.  Delay-blind demand
+    reduced value is the reported objective; p and W_p then come from
+    :func:`rp2_min_weight`.  At a positive rate the quote is the ranked
+    point's: theta = objective/l and, for c > 0, S_s = (a - l - b*theta)/c,
+    its W_s, so the demand identity holds by construction.  Delay-blind demand
     (c = 0, no SLA) takes the vertex a/2 clipped to the stable range, with
     p = 0."""
     s = 1.0 / cfg.mu
@@ -678,10 +672,6 @@ def joint_pricing_T1(cfg: JointPricingConfig) -> ControlSolution:
         raise InfeasibleError(
             f"S_p={cfg.S_p:.6g} is below the primary wait {w_p0:.6g} with no secondary traffic"
         )
-
-    def waits(ls, p):
-        # (primary, secondary) RP waits at secondary rate ls
-        return rp2_kernel(r_p, ls * s, 0.5 * (lam_p + ls) * s2, p)
 
     # W_p at p = 0 reaches S_p where (lam_p + l)*E[S^2]/2 = S_p*(1 - rho_p -
     # l*s)*(1 - l*s), over S_p the quadratic s^2*l^2 - qb*l + qc = 0.  Its
@@ -726,24 +716,24 @@ def joint_pricing_T1(cfg: JointPricingConfig) -> ControlSolution:
         # off in doubling steps; W_p at p = 1 is nondecreasing in the rate,
         # so every rate below ls_hi is then feasible
         step = math.ulp(ls_hi)
-        while ls_hi > 0.0 and cfg.S_p < waits(ls_hi, 1.0)[0] < _INF:
+        while ls_hi > 0.0 and cfg.S_p < rp2_kernel(
+                r_p, ls_hi * s, 0.5 * (lam_p + ls_hi) * s2, 1.0)[0] < _INF:
             ls_hi = max(ls_hi - step, 0.0)
             step *= 2.0
         ls_star, _, calls = _golden_max(reduced, 0.0, ls_hi, 1e-14 * ls_hi)
 
-    # None where rounding leaves W_p at p = 1 above S_p, or at an unstable rate
-    p_star = rp2_min_weight(r_p, ls_star * s, 0.5 * (lam_p + ls_star) * s2, cfg.S_p, 0)
-    p_star = 1.0 if p_star is None else p_star
-
-    w_pri, w_sec = waits(ls_star, p_star)
-    delay = cfg.c * w_sec if cfg.c else 0.0  # c = 0 ignores even an infinite wait
+    p_star, w_pri, w_sec = rp2_min_weight(r_p, ls_star * s, 0.5 * (lam_p + ls_star) * s2, cfg.S_p, 0)
     # the objective the search ranked, not the one at the rounded weight
     v_star = (cfg.a * ls_star - ls_star * ls_star) / cfg.b if delay_blind else reduced(ls_star)
     if not math.isfinite(v_star):
         raise InfeasibleError("no feasible (rate, priority) point")
-    theta = (cfg.a - ls_star - delay) / cfg.b
-    if ls_star == 0.0:  # zero demand holds at every price from theta up: quote one in [0, a/b]
-        theta = min(max(theta, 0.0), cfg.a / cfg.b)
+    if ls_star > 0.0:  # quote the ranked point: theta*ls is the objective, and S_s its W_s
+        theta = v_star / ls_star
+        if cfg.c:
+            w_sec = (cfg.a - ls_star - cfg.b * theta) / cfg.c
+    else:  # zero demand holds at every price from here up: quote one in [0, a/b]
+        delay = cfg.c * w_sec if cfg.c else 0.0  # c = 0 ignores even an infinite wait
+        theta = min(max((cfg.a - delay) / cfg.b, 0.0), cfg.a / cfg.b)
     active = []
     if math.isfinite(cfg.S_p) and w_pri > cfg.S_p - 1e-6:
         active.append("S_p")

@@ -117,14 +117,6 @@ def integral_from_beta(model: SystemModel, beta: float) -> tuple[float, str]:
     return iv, "nonneg"
 
 
-def _p1_of_w1(model: SystemModel, w1: float) -> float:
-    # the smallest class-1 weight whose wait is within w1; a target at the
-    # strict (1,2) wait that rounding puts below it gets strict priority
-    r1, r2 = model.rho_per_class
-    p1 = rp2_min_weight(r1, r2, model.w0, w1, 0)
-    return 1.0 if p1 is None else p1
-
-
 @dataclass(frozen=True)
 class Scheme:
     """One complete 2-class scheme: its parameter's name, the values that
@@ -155,11 +147,12 @@ class Scheme:
 #: every complete 2-class scheme, by name
 SCHEMES = {
     "ddp": Scheme("beta", (0.0, math.inf), lambda m, beta, _: beta, lambda m, beta: beta,
-                  waits=ddp2_waits, inverse=lambda m, w1: beta_from_p1(m.rho, _p1_of_w1(m, w1)),
-                  config=lambda beta: DDP((1.0, beta))),
+                  waits=ddp2_waits, config=lambda beta: DDP((1.0, beta)),
+                  inverse=lambda m, w1: beta_from_p1(m.rho, SCHEMES["rp"].inverse(m, w1))),
     "rp": Scheme("p1", (1.0, 0.0), lambda m, p1, _: beta_from_p1(m.rho, p1),
                  lambda m, beta: p1_from_beta(m.rho, beta),
-                 waits=rp2_waits, inverse=_p1_of_w1, config=lambda p1: RP((p1, 1.0 - p1))),
+                 waits=rp2_waits, inverse=lambda m, w1: rp2_min_weight(*m.rho_per_class, m.w0, w1, 0)[0],
+                 config=lambda p1: RP((p1, 1.0 - p1))),
     "edd": Scheme("ubar", (-math.inf, math.inf), beta_from_integral,
                   lambda m, beta: integral_from_beta(m, beta)[0],
                   config=lambda ubar: EDD((max(ubar, 0.0), max(-ubar, 0.0)))),
@@ -208,7 +201,7 @@ def p1_from_alpha(model: SystemModel, alpha: float) -> float:
     w1 = segment_point(model, alpha)[0]
     if alpha in (0.0, 1.0):
         return SCHEMES["rp"].ends[0 if alpha else 1]
-    return _p1_of_w1(model, w1)
+    return SCHEMES["rp"].inverse(model, w1)
 
 
 def alpha_from_p1(model: SystemModel, p1: float) -> float:

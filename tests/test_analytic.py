@@ -192,8 +192,9 @@ class TestRP2MinWeight:
         # that meets it, next to q0, and lowering it by 2**-40 breaks the cap
         assume(r1 + r2 <= 0.98)
         cap = _class_wait(r1, r2, w0, q0, klass)
-        q = rp2_min_weight(r1, r2, w0, cap, klass)
-        assert q is not None and 0.0 <= q <= 1.0
+        p1, *waits = rp2_min_weight(r1, r2, w0, cap, klass)
+        q = p1 if klass == 0 else 1.0 - p1
+        assert waits[klass] <= cap and 0.0 <= q <= 1.0
         assert _class_wait(r1, r2, w0, q, klass) <= cap
         assert abs(q - q0) <= 1e-9
         if q > 0.0:
@@ -204,13 +205,38 @@ class TestRP2MinWeight:
         r1, r2, w0 = 0.3, 0.4, 0.7
         slack = _class_wait(r1, r2, w0, 0.0, klass)
         strict = _class_wait(r1, r2, w0, 1.0, klass)
-        assert rp2_min_weight(r1, r2, w0, slack, klass) == 0.0
-        assert rp2_min_weight(r1, r2, w0, math.inf, klass) == 0.0
-        assert rp2_min_weight(r1, r2, w0, strict, klass) is not None
-        assert rp2_min_weight(r1, r2, w0, 0.999 * strict, klass) is None
+        # p1 at the weight q = 0 of class `klass`, and at full priority to it
+        zero, full = float(klass), 1.0 - klass
+        assert rp2_min_weight(r1, r2, w0, slack, klass)[0] == zero
+        assert rp2_min_weight(r1, r2, w0, math.inf, klass)[0] == zero
+        assert rp2_min_weight(r1, r2, w0, strict, klass)[1 + klass] <= strict
+        p1, *waits = rp2_min_weight(r1, r2, w0, 0.999 * strict, klass)
+        assert p1 == full and waits[klass] > 0.999 * strict
         # an unstable load meets only an infinite cap
-        assert rp2_min_weight(0.6, 0.4, w0, 1e6, klass) is None
-        assert rp2_min_weight(0.6, 0.4, w0, math.inf, klass) == 0.0
+        p1, *waits = rp2_min_weight(0.6, 0.4, w0, 1e6, klass)
+        assert p1 == full and waits[klass] > 1e6
+        assert rp2_min_weight(0.6, 0.4, w0, math.inf, klass)[0] == zero
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.floats(0.0, 0.6),
+        st.floats(0.0, 0.6),
+        st.floats(1e-3, 10.0),
+        st.floats(0.0, 1.0),
+        st.floats(0.5, 1.5),
+        st.sampled_from([0, 1]),
+    )
+    def test_returns_the_kernel_waits_at_its_weight(self, r1, r2, w0, q0, scale, klass):
+        # caps around and outside the achievable range, loads up to unstable:
+        # the waits are the kernel's at the returned p1 bit for bit, and
+        # class `klass` misses the cap only at full priority to it
+        cap = scale * _class_wait(r1, r2, w0, q0, klass)
+        if cap == math.inf:  # an unstable load: a finite cap it cannot meet
+            cap = scale * w0
+        p1, w1, w2 = rp2_min_weight(r1, r2, w0, cap, klass)
+        assert (w1, w2) == rp2_kernel(r1, r2, w0, p1)
+        if (w1, w2)[klass] > cap:
+            assert p1 == 1.0 - klass
 
 
 class TestPP:

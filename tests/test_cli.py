@@ -379,6 +379,14 @@ class TestNonFiniteDocuments:
         assert main(["optimize", problem, "--config", str(p)]) == 4
         assert capsys.readouterr().err.startswith("parameter error: ")
 
+    def test_hpc_cap_below_minimum_wait_exit_6(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(dict(HPC_DOC, S_R=0.01)))
+        assert main(["optimize", "hpc", "--config", str(p)]) == 6
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "below the minimum regular-class wait 0.357143" in err
+
     def test_hpc_infinite_cap_is_slack(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(dict(HPC_DOC, S_R=math.inf)))

@@ -448,11 +448,11 @@ class TestCloudEquilibrium:
         s = 1.0 / cfg.mu
         s2 = (1.0 + cfg.scv) * s * s
         k, cap_k, _ = bound(l1, l2)
-        q = rp2_min_weight(l1 * s, l2 * s, 0.5 * (l1 + l2) * s2, cap_k, k)
-        if q is None:  # no weight keeps class k's cap
+        p1, *w = rp2_min_weight(l1 * s, l2 * s, 0.5 * (l1 + l2) * s2, cap_k, k)
+        if w[k] > cap_k:  # no weight keeps class k's cap
             assert score == -math.inf
             return
-        r, waits = _revenue_at_weights(cfg, l1, l2, np.array([q if k == 0 else 1.0 - q]))
+        r, waits = _revenue_at_weights(cfg, l1, l2, np.array([p1]))
         want = float(r[0])
         if math.isfinite(want) and math.isfinite(score):
             assert score == pytest.approx(want, rel=0, abs=1e-12 * max(1.0, abs(want)))
@@ -614,6 +614,33 @@ def joint_configs(draw, mu=st.floats(0.5, 2.0)):
                               draw(st.floats(0.3, 3.0)), c)
 
 
+@st.composite
+def joint_configs_near_zero_rate(draw):
+    """Delay-sensitive joint-pricing problems whose SLA is 1e-14 to 1e-7
+    relative above the primary's zero-rate wait, so the optimal rate is
+    tiny or zero."""
+    mu = draw(st.floats(0.2, 5.0))
+    lam_p = mu * draw(st.floats(0.05, 0.9))
+    sigma2 = draw(st.floats(0.0, 3.0)) / (mu * mu)
+    s = 1.0 / mu
+    w_p0 = 0.5 * lam_p * (sigma2 + s * s) / (1.0 - lam_p * s)
+    S_p = w_p0 * (1.0 + 10.0 ** draw(st.floats(-14.0, -7.0)))
+    return JointPricingConfig(lam_p, mu, sigma2, S_p, mu * draw(st.floats(0.0, 3.0)),
+                              draw(st.floats(0.3, 3.0)), draw(st.floats(0.01, 3.0)))
+
+
+def _assert_quotes_the_ranked_point(cfg):
+    """theta in [0, a/b] earns the objective at the quoted rate, and the
+    demand identity lambda_s = a - b*theta - c*S_s holds at a positive rate."""
+    sol = joint_pricing_T1(cfg)
+    ls, theta = sol.params["lambda_s"], sol.params["theta"]
+    assert 0.0 <= theta <= cfg.a / cfg.b
+    assert theta * ls == pytest.approx(sol.objective, rel=1e-12, abs=0.0)
+    if ls > 0.0:
+        implied = cfg.a - cfg.b * theta - cfg.c * sol.params["S_s"]
+        assert implied == pytest.approx(ls, rel=0.0, abs=1e-9)
+
+
 class TestJointPricing:
     def test_no_demand_no_revenue(self):
         cfg = JointPricingConfig(0.3, 1.0, 1.0, math.inf, 0.0, 1.0, 1.0)
@@ -717,6 +744,27 @@ class TestJointPricing:
     @given(joint_configs(mu=st.just(1.0)))
     def test_objective_matches_exact_reduced(self, cfg):
         _assert_ranked_reduced_objective(cfg)
+
+    @pytest.mark.parametrize("args", [
+        # the search ranked a rate of order 1e-15..1e-14 whose price, read
+        # off the waits at rp2_min_weight's rounded weight, was -0.00697,
+        # -1.134, and 1.5e-3 relative off objective/lambda_s
+        (3.647955868689577, 4.446205789071128, 0.05058489820796073, 1.0278296272565415,
+         0.26061917650709787, 1.7724294767270343, 1.184693314340478),
+        (1.5033874170898192, 1.6765033340185473, 0.7613460974758479, 8.132303903202303,
+         4.893045239564524, 2.2996229922667357, 2.4408223813560395),
+        (0.7660668736760414, 1.8439164623755513, 0.13031478278498057, 0.2781159248455522,
+         3.7248718071751785, 0.845983275027703, 2.705278925277649),
+    ])
+    def test_tiny_rate_quotes_the_ranked_point(self, args):
+        cfg = JointPricingConfig(*args)
+        assert joint_pricing_T1(cfg).params["lambda_s"] > 0.0
+        _assert_quotes_the_ranked_point(cfg)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(joint_configs_near_zero_rate())
+    def test_quotes_the_ranked_point_near_the_zero_rate_wait(self, cfg):
+        _assert_quotes_the_ranked_point(cfg)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(joint_configs())
